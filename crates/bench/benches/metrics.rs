@@ -2,12 +2,8 @@
 //! interventional causal-discrimination measurement whose Hoeffding-sized
 //! sample dominates the metric-computation cost in Fig. 10.
 
-// The one-shot evaluation entry point is deprecated in favour of the
-// runner, but it is exactly the fit-excluded unit this bench measures.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
-use fairlens_bench::evaluate_fitted;
+use fairlens_bench::{metric_suite, PAPER_CD_BOUNDS};
 use fairlens_core::baseline_approach;
 use fairlens_metrics::{
     causal_discrimination, causal_risk_difference, MetricReport,
@@ -56,8 +52,12 @@ fn bench_full_suite(c: &mut Criterion) {
     let fitted = baseline_approach().fit(&data, 1).unwrap();
     let mut group = c.benchmark_group("metrics/full_suite");
     group.sample_size(10);
+    // Predict plus the full suite: the fit-excluded unit of one cell.
     group.bench_function("german_1000", |b| {
-        b.iter(|| evaluate_fitted(&fitted, kind, &data, 1))
+        b.iter(|| {
+            let preds = fitted.predict(&data);
+            metric_suite(&fitted, kind, &data, &preds, 1, PAPER_CD_BOUNDS)
+        })
     });
     group.finish();
 }

@@ -29,13 +29,8 @@
 //! Criterion micro-benchmarks
 //! (`cargo bench -p fairlens-bench`) cover per-approach training latency
 //! and the solver kernels.
-//!
-//! The pre-runner entry points ([`evaluate`], [`evaluate_fitted`],
-//! [`time_fit`]) remain as deprecated wrappers over the same internals.
 
-use std::time::{Duration, Instant};
-
-use fairlens_core::{Approach, CoreError, FittedPipeline};
+use fairlens_core::FittedPipeline;
 use fairlens_frame::Dataset;
 use fairlens_metrics::{causal_discrimination, causal_risk_difference, MetricReport};
 use fairlens_synth::DatasetKind;
@@ -69,8 +64,7 @@ pub const PAPER_CD_BOUNDS: (f64, f64) = (0.99, 0.01);
 /// `test`: confusion-matrix metrics, DI*, TPR/TNR balance, interventional
 /// CD (re-predicting through the pipeline with `S` flipped, RNG seeded
 /// from `cd_seed ^ 0xCD`) and CRD with the dataset's resolving attributes.
-/// Shared by the runner, the model exporter and the deprecated free
-/// functions.
+/// Shared by the runner and the model exporter.
 pub fn metric_suite(
     fitted: &FittedPipeline,
     kind: DatasetKind,
@@ -89,72 +83,6 @@ pub fn metric_suite(
     );
     let crd = causal_risk_difference(test, preds, kind.resolving_attrs());
     MetricReport::from_predictions(test.labels(), preds, test.sensitive(), cd, crd)
-}
-
-/// One evaluated cell of Fig. 10: the nine metrics plus the fit time.
-#[derive(Debug, Clone)]
-pub struct Evaluation {
-    /// Approach display name.
-    pub approach: &'static str,
-    /// Stage label (`pre` / `in` / `post` / `baseline`).
-    pub stage: &'static str,
-    /// The nine normalised metrics.
-    pub report: MetricReport,
-    /// Wall-clock training time (repair + train + adjuster fit).
-    pub fit_time: Duration,
-}
-
-/// Train `approach` on `train`, evaluate on `test` with the paper's metric
-/// suite (CD at 99 %/1 %, CRD with the dataset's resolving attributes).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a spec::ExperimentSpec and evaluate it with runner::Runner::run"
-)]
-pub fn evaluate(
-    approach: &Approach,
-    kind: DatasetKind,
-    train: &Dataset,
-    test: &Dataset,
-    seed: u64,
-) -> Result<Evaluation, CoreError> {
-    let t0 = Instant::now();
-    let fitted = approach.fit(train, seed)?;
-    let fit_time = t0.elapsed();
-    let preds = fitted.predict(test);
-    let report = metric_suite(&fitted, kind, test, &preds, seed, PAPER_CD_BOUNDS);
-    Ok(Evaluation {
-        approach: approach.name,
-        stage: approach.stage.label(),
-        report,
-        fit_time,
-    })
-}
-
-/// Metric suite for an already-fitted pipeline.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a spec::ExperimentSpec and evaluate it with runner::Runner::run"
-)]
-pub fn evaluate_fitted(
-    fitted: &FittedPipeline,
-    kind: DatasetKind,
-    test: &Dataset,
-    seed: u64,
-) -> MetricReport {
-    let preds = fitted.predict(test);
-    metric_suite(fitted, kind, test, &preds, seed, PAPER_CD_BOUNDS)
-}
-
-/// Time just the training of an approach (the Fig. 11 quantity, before
-/// baseline subtraction).
-#[deprecated(
-    since = "0.2.0",
-    note = "use a timing_only spec::ExperimentSpec with runner::Runner::run"
-)]
-pub fn time_fit(approach: &Approach, train: &Dataset, seed: u64) -> Result<Duration, CoreError> {
-    let t0 = Instant::now();
-    let _ = approach.fit(train, seed)?;
-    Ok(t0.elapsed())
 }
 
 /// Render one Fig. 10 panel as a plain-text table from runner records.
@@ -181,30 +109,6 @@ pub fn print_fig10_records(dataset: &str, rows: &[&RunRecord]) {
             }
         }
         println!(" {:>9.0}", r.fit_ms);
-    }
-}
-
-/// Render one Fig. 10 panel as a plain-text table.
-pub fn print_fig10_table(dataset: &str, rows: &[Evaluation], baseline: Option<&Evaluation>) {
-    println!();
-    println!("=== Fig. 10 — {dataset} ===");
-    print!("{:<9} {:<19}", "stage", "approach");
-    for h in MetricReport::headers() {
-        print!(" {h:>9}");
-    }
-    println!(" {:>9}", "fit(ms)");
-    let print_row = |e: &Evaluation| {
-        print!("{:<9} {:<19}", e.stage, e.approach);
-        for v in e.report.values() {
-            print!(" {v:>9.3}");
-        }
-        println!(" {:>9}", e.fit_time.as_millis());
-    };
-    if let Some(b) = baseline {
-        print_row(b);
-    }
-    for e in rows {
-        print_row(e);
     }
 }
 
@@ -256,38 +160,6 @@ pub fn scale_rows(kind: DatasetKind, scale: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairlens_core::baseline_approach;
-    use fairlens_frame::split;
-
-    #[test]
-    #[allow(deprecated)] // the wrappers must keep working until removal
-    fn evaluate_baseline_on_german() {
-        let kind = DatasetKind::German;
-        let data = kind.generate(800, 3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let (train, test) = split::train_test_split(&data, 0.3, &mut rng);
-        let e = evaluate(&baseline_approach(), kind, &train, &test, 1).unwrap();
-        assert!(e.report.accuracy > 0.55, "accuracy {}", e.report.accuracy);
-        assert_eq!(e.stage, "baseline");
-        for v in e.report.values() {
-            assert!((0.0..=1.0).contains(&v));
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_agree_with_each_other() {
-        let kind = DatasetKind::German;
-        let data = kind.generate(400, 3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let (train, test) = split::train_test_split(&data, 0.3, &mut rng);
-        let approach = baseline_approach();
-        let e = evaluate(&approach, kind, &train, &test, 9).unwrap();
-        let fitted = approach.fit(&train, 9).unwrap();
-        let r = evaluate_fitted(&fitted, kind, &test, 9);
-        assert_eq!(e.report.values(), r.values());
-        assert!(time_fit(&approach, &train, 9).is_ok());
-    }
 
     #[test]
     fn summary_statistics() {

@@ -284,6 +284,29 @@ impl DataSchema {
     }
 }
 
+/// Row `r` of `data` as a prediction-request object, the inverse of
+/// [`DataSchema::dataset_from_rows`]: every predictive attribute (numbers
+/// as numbers, categories by level name) plus the sensitive attribute.
+pub fn prediction_row(data: &Dataset, r: usize) -> Value {
+    let mut fields: Vec<(String, Value)> = data
+        .columns()
+        .iter()
+        .zip(data.attr_names())
+        .map(|(col, name)| {
+            let v = match col {
+                Column::Numeric(xs) => Value::Number(xs[r]),
+                Column::Categorical { codes, levels } => {
+                    Value::String(levels[codes[r] as usize].clone())
+                }
+            };
+            (name.clone(), v)
+        })
+        .collect();
+    let sensitive = Value::Integer(u64::from(data.sensitive()[r]));
+    fields.push((data.sensitive_name().to_string(), sensitive));
+    Value::Object(fields)
+}
+
 /// A saved model: provenance + schema + fitted pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelArtifact {
@@ -500,6 +523,15 @@ mod tests {
         let preds = pipeline.predict(&req);
         assert_eq!(preds.len(), 2);
         let _ = d;
+    }
+
+    #[test]
+    fn prediction_rows_parse_back_to_the_same_data() {
+        let (d, _, artifact) = toy_artifact();
+        let rows: Vec<Value> = (0..d.n_rows()).map(|r| prediction_row(&d, r)).collect();
+        let back = artifact.schema.dataset_from_rows(&rows).unwrap();
+        assert_eq!(back.columns(), d.columns());
+        assert_eq!(back.sensitive(), d.sensitive());
     }
 
     #[test]

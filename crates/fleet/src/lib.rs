@@ -20,17 +20,23 @@
 //!
 //! The crate splits along testability lines: [`supervise`] is a pure
 //! clock-injected state machine (unit-testable without processes),
-//! [`placement`] is pure arithmetic, [`worker`]/[`backend`] wrap the OS
-//! edges, and [`fleet`] ties them together under the listener.
+//! [`placement`] is pure arithmetic, [`worker`] wraps the OS process
+//! edge, and [`fleet`] is the front door's route fn plus the supervisor
+//! loop. The HTTP plumbing on both sides of the front door — the server
+//! loop and the pooled client to the workers — is the serve crate's
+//! shared [`fairlens_serve::http`] stack.
 
-pub mod backend;
 pub mod fleet;
 pub mod metrics;
 pub mod placement;
 pub mod supervise;
 pub mod worker;
 
-pub use backend::{probe_healthz, Backend, BackendResponse};
+/// The pooled keep-alive client the router holds per worker.
+pub use fairlens_serve::http::Client as Backend;
+/// A response as the router relays it.
+pub use fairlens_serve::http::Response as BackendResponse;
+pub use fairlens_serve::http::probe_healthz;
 pub use fleet::{Fleet, FleetConfig};
 pub use metrics::FleetMetrics;
 pub use supervise::{Decision, Phase, SupervisorConfig, WorkerSupervisor};

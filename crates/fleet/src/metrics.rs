@@ -2,14 +2,16 @@
 //!
 //! Same conventions as the serve crate's registry: mutexed `BTreeMap`s
 //! keyed by label tuple (request handling is socket-bound; one short
-//! lock per request is noise), deterministic render order, `# HELP` /
-//! `# TYPE` preambles. The families here describe the *fleet* — worker
+//! lock per request is noise), deterministic render order, and the same
+//! [`Exposition`] writer, which escapes label values. The families here describe the *fleet* — worker
 //! lifecycle, failover, reload — while each worker keeps exposing its
 //! own `/metrics` for per-model detail.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use fairlens_serve::metrics::Exposition;
 
 /// The fleet's metric registry.
 #[derive(Default)]
@@ -79,62 +81,78 @@ impl FleetMetrics {
 
     /// Render the Prometheus exposition.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+        let mut out = Exposition::default();
 
-        let _ = writeln!(out, "# HELP fairlens_fleet_requests_total Front-door responses by route and status.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_requests_total counter");
+        out.family(
+            "fairlens_fleet_requests_total",
+            "counter",
+            "Front-door responses by route and status.",
+        );
         for ((route, status), n) in self.requests.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_fleet_requests_total{{route=\"{route}\",status=\"{status}\"}} {n}"
-            );
+            out.sample("fairlens_fleet_requests_total", &[("route", route), ("status", status)], n);
         }
 
-        let _ = writeln!(out, "# HELP fairlens_worker_up Whether the worker shard is routable (announced and probing healthy).");
-        let _ = writeln!(out, "# TYPE fairlens_worker_up gauge");
+        out.family(
+            "fairlens_worker_up",
+            "gauge",
+            "Whether the worker shard is routable (announced and probing healthy).",
+        );
         let workers = self.workers.lock().unwrap();
         for (w, (up, _)) in workers.iter() {
-            let _ = writeln!(out, "fairlens_worker_up{{worker=\"{w}\"}} {}", u8::from(*up));
+            out.sample("fairlens_worker_up", &[("worker", w)], u8::from(*up));
         }
-        let _ = writeln!(out, "# HELP fairlens_worker_pid The worker shard's OS process id.");
-        let _ = writeln!(out, "# TYPE fairlens_worker_pid gauge");
+        out.family("fairlens_worker_pid", "gauge", "The worker shard's OS process id.");
         for (w, (_, pid)) in workers.iter() {
-            let _ = writeln!(out, "fairlens_worker_pid{{worker=\"{w}\"}} {pid}");
+            out.sample("fairlens_worker_pid", &[("worker", w)], pid);
         }
         drop(workers);
 
-        let _ = writeln!(out, "# HELP fairlens_worker_restarts_total Supervisor respawns of the worker shard.");
-        let _ = writeln!(out, "# TYPE fairlens_worker_restarts_total counter");
+        out.family(
+            "fairlens_worker_restarts_total",
+            "counter",
+            "Supervisor respawns of the worker shard.",
+        );
         for (w, n) in self.restarts.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_worker_restarts_total{{worker=\"{w}\"}} {n}");
+            out.sample("fairlens_worker_restarts_total", &[("worker", w)], n);
         }
 
-        let _ = writeln!(out, "# HELP fairlens_fleet_failovers_total Requests answered by a fallback replica after a transport failure.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_failovers_total counter");
+        out.family(
+            "fairlens_fleet_failovers_total",
+            "counter",
+            "Requests answered by a fallback replica after a transport failure.",
+        );
         for (model, n) in self.failovers.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_fleet_failovers_total{{model=\"{model}\"}} {n}");
+            out.sample("fairlens_fleet_failovers_total", &[("model", model)], n);
         }
 
-        let _ = writeln!(out, "# HELP fairlens_fleet_forward_retries_total Forward attempts that failed at the transport level.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_forward_retries_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_fleet_forward_retries_total {}",
-            self.forward_retries.load(Ordering::Relaxed)
+        out.family(
+            "fairlens_fleet_forward_retries_total",
+            "counter",
+            "Forward attempts that failed at the transport level.",
+        );
+        out.sample(
+            "fairlens_fleet_forward_retries_total",
+            &[],
+            self.forward_retries.load(Ordering::Relaxed),
         );
 
-        let _ = writeln!(out, "# HELP fairlens_fleet_reloads_total Blue/green reload attempts by outcome.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_reloads_total counter");
+        out.family(
+            "fairlens_fleet_reloads_total",
+            "counter",
+            "Blue/green reload attempts by outcome.",
+        );
         for (outcome, n) in self.reloads.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_fleet_reloads_total{{outcome=\"{outcome}\"}} {n}");
+            out.sample("fairlens_fleet_reloads_total", &[("outcome", outcome)], n);
         }
 
-        let _ = writeln!(out, "# HELP fairlens_fleet_paused_models Models currently paused for a blue/green cutover.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_paused_models gauge");
-        let _ = writeln!(out, "fairlens_fleet_paused_models {}", self.paused.load(Ordering::Relaxed));
+        out.family(
+            "fairlens_fleet_paused_models",
+            "gauge",
+            "Models currently paused for a blue/green cutover.",
+        );
+        out.sample("fairlens_fleet_paused_models", &[], self.paused.load(Ordering::Relaxed));
 
-        out
+        out.finish()
     }
 }
 
@@ -143,31 +161,34 @@ mod tests {
     use super::*;
 
     #[test]
+    fn client_supplied_model_ids_cannot_forge_lines() {
+        let m = FleetMetrics::new();
+        m.record_failover("a\"b\nc");
+        let text = m.render();
+        assert!(
+            text.contains("fairlens_fleet_failovers_total{model=\"a\\\"b\\nc\"} 1\n"),
+            "{text}"
+        );
+        assert_eq!(text.lines().filter(|l| l.contains("model=")).count(), 1, "{text}");
+    }
+
+    #[test]
     fn renders_all_families_deterministically() {
+        // Captured from the hand-written renderer this writer replaced.
         let m = FleetMetrics::new();
         m.record_request("/v1/predict", 200);
         m.record_request("/v1/predict", 200);
+        m.record_request("/v1/predict", 503);
+        m.record_request("/healthz", 200);
         m.record_restart(1);
         m.set_worker(0, true, 100);
         m.set_worker(1, false, 101);
         m.record_failover("german-lr");
         m.record_forward_retry();
         m.record_reload("ok");
+        m.record_reload("rejected");
         m.set_paused(1);
-        let text = m.render();
-        for needle in [
-            "fairlens_fleet_requests_total{route=\"/v1/predict\",status=\"200\"} 2",
-            "fairlens_worker_up{worker=\"0\"} 1",
-            "fairlens_worker_up{worker=\"1\"} 0",
-            "fairlens_worker_pid{worker=\"0\"} 100",
-            "fairlens_worker_restarts_total{worker=\"1\"} 1",
-            "fairlens_fleet_failovers_total{model=\"german-lr\"} 1",
-            "fairlens_fleet_forward_retries_total 1",
-            "fairlens_fleet_reloads_total{outcome=\"ok\"} 1",
-            "fairlens_fleet_paused_models 1",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-        assert_eq!(text, m.render(), "render order is deterministic");
+        assert_eq!(m.render(), include_str!("../testdata/metrics.golden.prom"));
+        assert_eq!(m.render(), m.render(), "render order is deterministic");
     }
 }

@@ -51,13 +51,12 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
-use fairlens_frame::{Column, Dataset};
+use fairlens_core::prediction_row;
 use fairlens_json::{object, parse, Value};
+use fairlens_serve::http::{Conn, Response};
 use fairlens_serve::recorder::score_bits;
 use fairlens_synth::{DatasetKind, ALL_DATASETS};
 
@@ -65,6 +64,10 @@ use fairlens_synth::{DatasetKind, ALL_DATASETS};
 /// under overload; `--allow-shed` accepts them as success for exit-code
 /// purposes.
 const SHED_STATUSES: [u16; 3] = [429, 503, 504];
+
+/// Bound on every connect and response read; a server silent for this
+/// long counts as a transport error.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 struct Args {
     addr: String,
@@ -161,98 +164,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// One parsed response off a keep-alive connection.
-struct Response {
-    status: u16,
-    body: String,
-    /// The `Retry-After` hint (seconds), on shed/breaker rejections.
-    retry_after: Option<u64>,
-    /// Whether the server announced it will close the connection.
-    close: bool,
-}
-
-/// A minimal keep-alive HTTP/1.1 client connection.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Conn {
-    fn open(addr: &str) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { reader: BufReader::new(stream.try_clone()?), writer: stream })
-    }
-
-    fn write_request(&mut self, method: &str, path: &str, body: &str) -> std::io::Result<()> {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: loadgen\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len(),
-        )?;
-        self.writer.flush()
-    }
-
-    fn read_response(&mut self) -> std::io::Result<Response> {
-        let mut line = String::new();
-        self.reader.read_line(&mut line)?;
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::other(format!("bad status line {line:?}")))?;
-        let mut content_length = 0usize;
-        let mut retry_after = None;
-        let mut close = false;
-        loop {
-            let mut header = String::new();
-            self.reader.read_line(&mut header)?;
-            let header = header.trim_end().to_ascii_lowercase();
-            if header.is_empty() {
-                break;
-            }
-            if let Some(v) = header.strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap_or(0);
-            } else if let Some(v) = header.strip_prefix("retry-after:") {
-                retry_after = v.trim().parse().ok();
-            } else if header == "connection: close" {
-                close = true;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok(Response { status, body: String::from_utf8_lossy(&body).into_owned(), retry_after, close })
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> std::io::Result<Response> {
-        self.write_request(method, path, body)?;
-        self.read_response()
-    }
-}
-
-/// One schema-shaped JSON row from a synthetic dataset.
-fn row_json(data: &Dataset, r: usize) -> Value {
-    let mut fields: Vec<(String, Value)> = data
-        .columns()
-        .iter()
-        .zip(data.attr_names())
-        .map(|(col, name)| {
-            let v = match col {
-                Column::Numeric(xs) => Value::Number(xs[r]),
-                Column::Categorical { codes, levels } => {
-                    Value::String(levels[codes[r] as usize].clone())
-                }
-            };
-            (name.clone(), v)
-        })
-        .collect();
-    fields.push((
-        data.sensitive_name().to_string(),
-        Value::Integer(u64::from(data.sensitive()[r])),
-    ));
-    Value::Object(fields)
-}
-
 /// SplitMix64 finalizer: one well-mixed word per (seed, index) pair.
 fn mix(seed: u64, i: u64) -> u64 {
     let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -317,14 +228,14 @@ fn run_closed_loop(
     c: usize,
 ) -> Tally {
     let mut tally = Tally::default();
-    let mut conn = Conn::open(&args.addr).expect("connect");
+    let mut conn = Conn::connect(&args.addr, TIMEOUT).expect("connect");
     let mut i = c;
     while i < args.requests {
         let (body, picked) = body_for(model_id, rows, args.seed, i);
         let mut attempts = 0;
         let final_resp = loop {
             let t0 = Instant::now();
-            let resp = request_resilient(
+            let (resp, close) = request_resilient(
                 &mut conn,
                 &args.addr,
                 "POST",
@@ -334,7 +245,7 @@ fn run_closed_loop(
             );
             tally.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             *tally.counts.entry(resp.status).or_insert(0) += 1;
-            if resp.close {
+            if close {
                 tally.reconnects += 1;
                 conn = reconnect(&args.addr);
             }
@@ -349,7 +260,7 @@ fn run_closed_loop(
                 }
                 _ => {
                     if resp.status != 200 {
-                        eprintln!("[loadgen] HTTP {}: {}", resp.status, resp.body);
+                        eprintln!("[loadgen] HTTP {}: {}", resp.status, resp.text());
                     }
                     break resp;
                 }
@@ -360,7 +271,8 @@ fn run_closed_loop(
             && ((mix(args.seed ^ FEEDBACK_SALT, i as u64) % 1000) as f64)
                 < args.feedback * 1000.0
         {
-            send_feedback(args, &mut conn, model_id, &final_resp.body, &picked, labels, &mut tally);
+            let answer = final_resp.text();
+            send_feedback(args, &mut conn, model_id, &answer, &picked, labels, &mut tally);
         }
         i += args.conns;
     }
@@ -413,7 +325,7 @@ fn send_feedback(
             Value::Array(reported.into_iter().map(Value::Integer).collect()),
         ));
     }
-    let resp = request_resilient(
+    let (resp, close) = request_resilient(
         conn,
         &args.addr,
         "POST",
@@ -424,9 +336,9 @@ fn send_feedback(
     tally.feedback_sent += 1;
     if resp.status != 200 {
         tally.feedback_failed += 1;
-        eprintln!("[loadgen] feedback HTTP {} for seq {seq}: {}", resp.status, resp.body);
+        eprintln!("[loadgen] feedback HTTP {} for seq {seq}: {}", resp.status, resp.text());
     }
-    if resp.close {
+    if close {
         tally.reconnects += 1;
         *conn = reconnect(&args.addr);
     }
@@ -436,7 +348,7 @@ fn send_feedback(
 /// connections the server closes and resending whatever went unanswered.
 fn run_open_loop(args: &Args, model_id: &str, rows: &[Value], c: usize) -> Tally {
     let mut tally = Tally::default();
-    let mut conn = Conn::open(&args.addr).expect("connect");
+    let mut conn = Conn::connect(&args.addr, TIMEOUT).expect("connect");
     let mut pending: VecDeque<usize> =
         (c..args.requests).step_by(args.conns.max(1)).collect();
     let burst_len = args.burst.max(1);
@@ -447,7 +359,7 @@ fn run_open_loop(args: &Args, model_id: &str, rows: &[Value], c: usize) -> Tally
         let mut wrote = 0;
         for &i in &burst {
             if conn
-                .write_request("POST", "/v1/predict", &body_for(model_id, rows, args.seed, i).0)
+                .write_request("POST", "/v1/predict", body_for(model_id, rows, args.seed, i).0.as_bytes())
                 .is_err()
             {
                 break;
@@ -458,11 +370,11 @@ fn run_open_loop(args: &Args, model_id: &str, rows: &[Value], c: usize) -> Tally
         let mut closed = false;
         for _ in 0..wrote {
             match conn.read_response() {
-                Ok(resp) => {
+                Ok((resp, close)) => {
                     tally.latencies_ms.push(t0.elapsed().as_secs_f64() * 1e3);
                     *tally.counts.entry(resp.status).or_insert(0) += 1;
                     answered += 1;
-                    if resp.close {
+                    if close {
                         closed = true;
                         break;
                     }
@@ -501,7 +413,7 @@ fn run_replay(args: &Args, log_path: &str) -> ! {
         eprintln!("[loadgen] cannot read replay log {log_path}: {e}");
         exit(2);
     });
-    let mut conn = Conn::open(&args.addr).expect("connect for replay");
+    let mut conn = Conn::connect(&args.addr, TIMEOUT).expect("connect for replay");
     let (mut sent, mut clean, mut status_only, mut diffs) = (0usize, 0usize, 0usize, 0usize);
     let mut transport_retries = 0usize;
     let mut first_diff: Option<String> = None;
@@ -530,7 +442,7 @@ fn run_replay(args: &Args, log_path: &str) -> ! {
 
         let mut attempts = 0;
         let resp = loop {
-            let resp = request_resilient(
+            let (resp, close) = request_resilient(
                 &mut conn,
                 &args.addr,
                 &method,
@@ -538,7 +450,7 @@ fn run_replay(args: &Args, log_path: &str) -> ! {
                 &body,
                 &mut transport_retries,
             );
-            if resp.close {
+            if close {
                 conn = reconnect(&args.addr);
             }
             match resp.retry_after {
@@ -553,10 +465,11 @@ fn run_replay(args: &Args, log_path: &str) -> ! {
         let diff = if resp.status != recorded_status {
             Some(format!(
                 "seq {seq}: status {recorded_status} recorded, {} live ({})",
-                resp.status, resp.body
+                resp.status,
+                resp.text()
             ))
         } else if recorded_status == 200 {
-            let live_bits = score_bits(&parse(&resp.body).unwrap_or(Value::Null));
+            let live_bits = score_bits(&parse(&resp.text()).unwrap_or(Value::Null));
             bits_diff(seq, &recorded_bits, &live_bits)
         } else {
             status_only += 1;
@@ -579,10 +492,7 @@ fn run_replay(args: &Args, log_path: &str) -> ! {
          {transport_retries} transport retry(s)"
     );
     if args.shutdown {
-        let mut conn = Conn::open(&args.addr).expect("connect for shutdown");
-        let resp = conn.request("POST", "/v1/shutdown", "").expect("shutdown");
-        assert_eq!(resp.status, 200, "shutdown failed: {}", resp.body);
-        eprintln!("[loadgen] shutdown acknowledged");
+        shutdown(&args.addr);
     }
     if diffs > 0 {
         eprintln!(
@@ -612,9 +522,17 @@ fn bits_diff(seq: u64, recorded: &[u64], live: &[u64]) -> Option<String> {
     ))
 }
 
+/// `POST /v1/shutdown` on a fresh connection; the server must agree.
+fn shutdown(addr: &str) {
+    let mut conn = Conn::connect(addr, TIMEOUT).expect("connect for shutdown");
+    let (resp, _) = conn.request("POST", "/v1/shutdown", b"").expect("shutdown");
+    assert_eq!(resp.status, 200, "shutdown failed: {}", resp.text());
+    eprintln!("[loadgen] shutdown acknowledged");
+}
+
 fn reconnect(addr: &str) -> Conn {
     for _ in 0..50 {
-        if let Ok(conn) = Conn::open(addr) {
+        if let Ok(conn) = Conn::connect(addr, TIMEOUT) {
             return conn;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -635,11 +553,11 @@ fn request_resilient(
     path: &str,
     body: &str,
     transport_retries: &mut usize,
-) -> Response {
+) -> (Response, bool) {
     let mut attempts = 0;
     loop {
-        match conn.request(method, path, body) {
-            Ok(resp) => return resp,
+        match conn.request(method, path, body.as_bytes()) {
+            Ok(answer) => return answer,
             Err(e) => {
                 attempts += 1;
                 assert!(
@@ -661,10 +579,10 @@ fn main() {
     }
 
     // Discover the target model and its source dataset.
-    let mut conn = Conn::open(&args.addr).expect("connect for model discovery");
-    let resp = conn.request("GET", "/v1/models", "").expect("list models");
-    assert_eq!(resp.status, 200, "model listing failed: {}", resp.body);
-    let listing = parse(&resp.body).expect("models JSON");
+    let mut conn = Conn::connect(&args.addr, TIMEOUT).expect("connect for model discovery");
+    let (resp, _) = conn.request("GET", "/v1/models", b"").expect("list models");
+    assert_eq!(resp.status, 200, "model listing failed: {}", resp.text());
+    let listing = parse(&resp.text()).expect("models JSON");
     let models = listing.get("models").cloned().unwrap().into_array().unwrap();
     let chosen = match &args.model {
         Some(id) => models
@@ -689,7 +607,7 @@ fn main() {
         .find(|k| k.name() == dataset)
         .unwrap_or_else(|| panic!("unknown source dataset {dataset:?}"));
     let pool = kind.generate(512, args.seed);
-    let rows: Vec<Value> = (0..pool.n_rows()).map(|r| row_json(&pool, r)).collect();
+    let rows: Vec<Value> = (0..pool.n_rows()).map(|r| prediction_row(&pool, r)).collect();
     let labels: Vec<u8> = pool.labels().to_vec();
     eprintln!(
         "[loadgen] {} requests over {} connection(s) against {model_id} ({dataset}), {} loop",
@@ -770,10 +688,7 @@ fn main() {
     }
 
     if args.shutdown {
-        let mut conn = Conn::open(&args.addr).expect("connect for shutdown");
-        let resp = conn.request("POST", "/v1/shutdown", "").expect("shutdown");
-        assert_eq!(resp.status, 200, "shutdown failed: {}", resp.body);
-        eprintln!("[loadgen] shutdown acknowledged");
+        shutdown(&args.addr);
     }
 
     let unexpected: usize = counts

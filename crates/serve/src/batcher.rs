@@ -171,10 +171,10 @@ impl ModelWorker {
         // Count the job before it becomes visible in the channel — the
         // executor may dequeue (and decrement) the instant `try_send`
         // lands, so incrementing afterwards would underflow the counter.
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.depth.fetch_add(1, Ordering::Relaxed);
         match tx.try_send(job) {
             Ok(()) => {
-                self.metrics.set_queue_depth(&self.model_id, depth);
+                self.metrics.publish_queue_depth(&self.model_id, &self.depth);
                 Ok(())
             }
             Err(rejected) => {
@@ -247,8 +247,8 @@ fn executor_loop(
     faults: &ServeFaults,
 ) {
     let dequeued = |n: u64| {
-        let d = depth.fetch_sub(n, Ordering::Relaxed).saturating_sub(n);
-        metrics.set_queue_depth(model_id, d);
+        depth.fetch_sub(n, Ordering::Relaxed);
+        metrics.publish_queue_depth(model_id, depth);
     };
     loop {
         // Block for the first job; channel closure is the stop signal.
@@ -528,6 +528,34 @@ mod tests {
         stall.cancel();
         let stalled = stall_rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap_err();
         assert_eq!(stalled.kind, ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn a_late_enqueue_publish_cannot_leave_a_stale_queue_depth() {
+        // The test plays the executor, so it can dequeue the job while
+        // the enqueuer is parked between its send and its depth publish.
+        let data = DatasetKind::German.generate(10, 7);
+        let metrics = Arc::new(Metrics::new());
+        let (tx, rx) = mpsc::sync_channel(1);
+        let worker = ModelWorker {
+            schema: DataSchema::of(&data),
+            stochastic: false,
+            model_id: "t".into(),
+            tx: Some(tx),
+            handle: None,
+            depth: Arc::new(AtomicU64::new(0)),
+            metrics: metrics.clone(),
+        };
+        let gauge = metrics.lock_queue_depth();
+        std::thread::scope(|s| {
+            let enqueuer = s.spawn(|| submit(&worker, data.select_rows(&[0])));
+            let _job = rx.recv().unwrap();
+            worker.depth.fetch_sub(1, Ordering::Relaxed);
+            drop(gauge);
+            enqueuer.join().unwrap();
+        });
+        let text = metrics.render();
+        assert!(text.contains("fairlens_queue_depth{model=\"t\"} 0"), "{text}");
     }
 
     #[test]

@@ -1,16 +1,26 @@
-//! A minimal, defensive HTTP/1.1 layer over `std::io`.
+//! The workspace's one HTTP/1.1 stack over `std::net`: request parser,
+//! response writer, server loop and strict client.
 //!
 //! Hand-rolled on purpose — the workspace takes no external dependencies —
-//! and scoped to exactly what the prediction server needs: request-line +
+//! and scoped to exactly what the serving tiers need: request-line +
 //! headers + `Content-Length` bodies, keep-alive with pipelining, and
 //! hard limits on head size, header count and body size so a misbehaving
-//! client cannot balloon memory. Anything outside that envelope is a
-//! structured [`ServeError`], never a panic and never a silently dropped
-//! connection.
+//! peer cannot balloon memory. Anything outside that envelope is a
+//! structured [`ServeError`] (server side) or an `io::Error` (client
+//! side), never a panic and never a guess.
 //!
-//! The parser is generic over [`BufRead`] so the negative paths (oversized
-//! heads, truncated bodies, pipelined garbage, slow-loris stalls) are
-//! unit-testable on in-memory cursors without sockets.
+//! * [`read_request`] / [`write_response_with`] — the server's framing.
+//! * [`Server`] — accept loop, connection-worker pool, keep-alive,
+//!   answer-then-close on framing errors, per-connection request cap and
+//!   drain; `fairlens-serve` and the `fairlens-fleet` front door are both
+//!   a route fn handed to it.
+//! * [`read_response`], [`Conn`], [`Client`], [`one_shot`] — the strict
+//!   client: a pipelining connection, a keep-alive pool that retries once
+//!   on a stale parked connection, and a fresh-connection probe.
+//!
+//! Both parsers are generic over [`BufRead`] so the negative paths
+//! (oversized heads, truncated bodies, pipelined garbage, slow-loris
+//! stalls) are unit-testable on in-memory cursors without sockets.
 //!
 //! Slow-loris defense: the socket's 250 ms read timeout is only a poll
 //! tick; [`Limits::read_deadline`] bounds the *total* time from the
@@ -20,8 +30,13 @@
 //! request byte arrives, so its practical granularity is one tick.
 
 use std::cell::Cell;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use fairlens_json::{parse, Value};
 
 use crate::error::{ErrorKind, ServeError};
 
@@ -74,6 +89,31 @@ impl Request {
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
+
+    /// The body parsed as JSON; a non-UTF-8 or malformed body is a 400.
+    pub fn json(&self) -> Result<Value, ServeError> {
+        let text = std::str::from_utf8(&self.body)
+            .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
+        parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))
+    }
+
+    /// The error for a request no route matched: a 405 when `known_path`,
+    /// else a 404.
+    pub fn unrouted(&self, known_path: bool) -> ServeError {
+        if known_path {
+            let msg = format!("{} does not support {}", self.path, self.method);
+            ServeError::new(ErrorKind::MethodNotAllowed, msg)
+        } else {
+            ServeError::new(ErrorKind::NotFound, format!("no route {}", self.path))
+        }
+    }
+}
+
+/// A required string field of a JSON request body; missing is a 400.
+pub fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, ServeError> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| ServeError::bad_request(format!("missing string field \"{key}\"")))
 }
 
 /// Why `read_request` returned without a request.
@@ -326,20 +366,10 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a response with `Content-Length`, flushing the stream.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> std::io::Result<()> {
-    write_response_with(w, status, content_type, None, body, close)
-}
-
-/// [`write_response`] with an optional `Retry-After` header (seconds) —
-/// shed and breaker rejections tell well-behaved clients when to come
-/// back instead of letting them hammer the admission gate.
+/// Write a response with `Content-Length` and an optional `Retry-After`
+/// header (seconds), flushing the stream. Shed and breaker rejections
+/// carry `Retry-After` to tell well-behaved clients when to come back
+/// instead of letting them hammer the admission gate.
 pub fn write_response_with(
     w: &mut impl Write,
     status: u16,
@@ -361,6 +391,452 @@ pub fn write_response_with(
     )?;
     w.write_all(body)?;
     w.flush()
+}
+
+/// One response: what a route answers, and what the client reads back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Response {
+    /// HTTP status code.
+    pub status: u16,
+    /// `Content-Type` header.
+    pub content_type: String,
+    /// `Retry-After` seconds, on shed and breaker rejections.
+    pub retry_after: Option<u64>,
+    /// Body bytes.
+    pub body: Vec<u8>,
+}
+
+impl Response {
+    /// A response without `Retry-After`.
+    pub fn new(status: u16, content_type: &str, body: impl Into<Vec<u8>>) -> Self {
+        Self { status, content_type: content_type.into(), retry_after: None, body: body.into() }
+    }
+
+    /// The structured JSON answer for `e`, with its status and any
+    /// `Retry-After` hint.
+    pub fn error(e: &ServeError) -> Self {
+        let json = Self::new(e.kind.status(), "application/json", e.to_json());
+        Self { retry_after: e.retry_after, ..json }
+    }
+
+    /// A `200` carrying `v` as JSON.
+    pub fn ok(v: Value) -> Self {
+        Self::new(200, "application/json", v.to_json())
+    }
+
+    /// The body as text (invalid UTF-8 replaced, never an error).
+    pub fn text(&self) -> std::borrow::Cow<'_, str> {
+        String::from_utf8_lossy(&self.body)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Server
+
+/// The socket read timeout: how often an idle keep-alive connection
+/// re-checks the shutdown flag, and the resolution of
+/// [`Limits::read_deadline`].
+const POLL_TICK: Duration = Duration::from_millis(250);
+
+/// A [`Server`]'s drain trigger, cheap to clone into route state.
+#[derive(Debug, Clone)]
+pub struct Shutdown {
+    flag: Arc<AtomicBool>,
+    wake: SocketAddr,
+}
+
+impl Shutdown {
+    /// Start the drain: set the flag, then self-connect so the blocking
+    /// `accept` returns and notices it.
+    pub fn trigger(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake);
+    }
+
+    /// Whether the drain has started.
+    pub fn is_triggered(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
+/// A bound HTTP/1.1 server: one blocking accept loop hands sockets to a
+/// fixed pool of connection workers over an mpsc channel (the receiver
+/// behind a mutex, the textbook `std` work queue). Each worker speaks
+/// keep-alive HTTP/1.1 on its socket and answers every request with the
+/// route fn, which also sees framing errors so it can count them.
+///
+/// Drain ([`Shutdown::trigger`]): stop accepting, let the workers finish
+/// the connections they hold — in-flight requests are answered with
+/// `connection: close`, idle keep-alives close at the next poll tick —
+/// join them, and return from [`Server::run`].
+pub struct Server {
+    listener: TcpListener,
+    shutdown: Shutdown,
+    name: &'static str,
+    workers: usize,
+    limits: Limits,
+    max_conn_requests: usize,
+}
+
+impl Server {
+    /// Bind `addr` (port 0 picks an ephemeral port). `name` prefixes the
+    /// worker thread names and log lines; `max_conn_requests` closes a
+    /// connection after that many requests (0 = unlimited), so one
+    /// pipelining client cannot pin a worker forever.
+    pub fn bind(
+        addr: &str,
+        name: &'static str,
+        workers: usize,
+        limits: Limits,
+        max_conn_requests: usize,
+    ) -> io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let shutdown =
+            Shutdown { flag: Arc::new(AtomicBool::new(false)), wake: listener.local_addr()? };
+        Ok(Self { listener, shutdown, name, workers: workers.max(1), limits, max_conn_requests })
+    }
+
+    /// The bound address (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.shutdown.wake
+    }
+
+    /// The drain trigger.
+    pub fn shutdown_handle(&self) -> Shutdown {
+        self.shutdown.clone()
+    }
+
+    /// Serve until the shutdown handle fires, then drain and return.
+    pub fn run<F>(self, route: F) -> io::Result<()>
+    where
+        F: Fn(Result<&Request, ServeError>) -> Response + Sync,
+    {
+        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let rx = Mutex::new(rx);
+        std::thread::scope(|scope| {
+            for i in 0..self.workers {
+                let (this, rx, route) = (&self, &rx, &route);
+                std::thread::Builder::new().name(format!("{}-{i}", self.name)).spawn_scoped(
+                    scope,
+                    move || loop {
+                        // The temporary guard drops before handling, so
+                        // only the dequeue is serialized.
+                        let stream = match rx.lock().expect("conn queue lock poisoned").recv() {
+                            Ok(s) => s,
+                            Err(_) => return,
+                        };
+                        this.serve_connection(stream, route);
+                    },
+                )?;
+            }
+            loop {
+                let stream = match self.listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(_) if self.shutdown.is_triggered() => break,
+                    Err(e) => {
+                        eprintln!("[{}] accept error: {e}", self.name);
+                        continue;
+                    }
+                };
+                if self.shutdown.is_triggered() {
+                    // The self-connect wake (or a late client); stop accepting.
+                    break;
+                }
+                let _ = tx.send(stream);
+            }
+            drop(tx); // workers drain accepted connections, then exit
+            Ok(())
+        })
+    }
+
+    /// Speak keep-alive HTTP on one socket until close, error, or drain.
+    fn serve_connection<F>(&self, stream: TcpStream, route: &F)
+    where
+        F: Fn(Result<&Request, ServeError>) -> Response,
+    {
+        if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
+            return;
+        }
+        let Ok(read_half) = stream.try_clone() else { return };
+        let mut reader = BufReader::new(read_half);
+        let mut writer = stream;
+        let mut served = 0usize;
+        loop {
+            let abandon_when_idle = |started: bool| self.shutdown.is_triggered() && !started;
+            let (response, close) = match read_request(&mut reader, &self.limits, abandon_when_idle)
+            {
+                Ok(ReadOutcome::Closed) => return,
+                // Framing errors poison the stream: answer, then close.
+                Err(e) => (route(Err(e)), true),
+                Ok(ReadOutcome::Complete(req)) => {
+                    served += 1;
+                    let response = route(Ok(&req));
+                    // Draining connections close after the in-flight
+                    // answer, as do connections that hit the request cap
+                    // (the client reconnects).
+                    let close = req.close
+                        || self.shutdown.is_triggered()
+                        || (self.max_conn_requests > 0 && served >= self.max_conn_requests);
+                    (response, close)
+                }
+            };
+            let Response { status, content_type, retry_after, body } = &response;
+            if write_response_with(&mut writer, *status, content_type, *retry_after, body, close)
+                .is_err()
+                || close
+            {
+                return;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Client
+
+/// Largest response body the client accepts. A bigger `Content-Length`
+/// is rejected before anything is allocated.
+const MAX_RESPONSE_BODY: usize = 16 * 1024 * 1024;
+/// Largest response head (status line plus headers) the client reads.
+const MAX_RESPONSE_HEAD: usize = 16 * 1024;
+
+/// Read one response: status line, headers, `Content-Length` body.
+/// Strict: anything that is not a complete, well-framed response is an
+/// error (`UnexpectedEof` when the peer hung up early, `InvalidData`
+/// otherwise), never a guess. Returns the response and whether the peer
+/// announced `connection: close`.
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<(Response, bool)> {
+    let mut budget = MAX_RESPONSE_HEAD;
+    let line = head_line(reader, &mut budget)?;
+    let mut parts = line.splitn(3, ' ');
+    let status = match (parts.next(), parts.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") && code.len() == 3 => {
+            code.parse::<u16>().ok()
+        }
+        _ => None,
+    }
+    .ok_or_else(|| invalid(format!("malformed status line {line:?}")))?;
+    let mut content_length = None;
+    let mut content_type = String::from("application/octet-stream");
+    let mut retry_after = None;
+    let mut close = false;
+    loop {
+        let line = head_line(reader, &mut budget)?;
+        if line.is_empty() {
+            break;
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(invalid(format!("malformed header {line:?}")));
+        };
+        let value = value.trim();
+        match name.trim().to_ascii_lowercase().as_str() {
+            "content-length" => {
+                let n: usize =
+                    value.parse().map_err(|_| invalid(format!("bad content-length {value:?}")))?;
+                if content_length.is_some_and(|m| m != n) {
+                    return Err(invalid("conflicting content-length headers".into()));
+                }
+                content_length = Some(n);
+            }
+            "transfer-encoding" if !value.eq_ignore_ascii_case("identity") => {
+                return Err(invalid(format!("unsupported transfer-encoding {value:?}")));
+            }
+            "content-type" => content_type = value.to_string(),
+            "retry-after" => retry_after = value.parse().ok(),
+            "connection" => {
+                close = value.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"));
+            }
+            _ => {}
+        }
+    }
+    let len = content_length.ok_or_else(|| invalid("response has no content-length".into()))?;
+    if len > MAX_RESPONSE_BODY {
+        return Err(invalid(format!("content-length {len} exceeds {MAX_RESPONSE_BODY} bytes")));
+    }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body)?;
+    Ok((Response { status, content_type, retry_after, body }, close))
+}
+
+/// One head line with its CRLF (or bare LF) stripped, charged against
+/// the remaining head `budget`. EOF before the terminator is an error.
+fn head_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<String> {
+    let mut line = Vec::new();
+    let n = (&mut *reader).take(*budget as u64 + 1).read_until(b'\n', &mut line)?;
+    if n > *budget {
+        return Err(invalid(format!("response head exceeds {MAX_RESPONSE_HEAD} bytes")));
+    }
+    if line.pop() != Some(b'\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-response head",
+        ));
+    }
+    *budget -= n;
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    String::from_utf8(line).map_err(|_| invalid("response head is not UTF-8".into()))
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// One client connection with `TCP_NODELAY`; `timeout` bounds the
+/// connect and every later read.
+pub struct Conn {
+    addr: SocketAddr,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Conn {
+    /// Connect to the first address `addr` resolves to that answers
+    /// (`localhost` may resolve to `::1` ahead of `127.0.0.1`).
+    pub fn connect(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
+        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing");
+        for addr in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, timeout) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(timeout))?;
+                    let reader = BufReader::new(stream.try_clone()?);
+                    return Ok(Self { addr, reader, writer: stream });
+                }
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
+
+    /// Send one request without waiting for its answer, so callers can
+    /// pipeline several before reading.
+    pub fn write_request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<()> {
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\n\r\n",
+            self.addr,
+            body.len(),
+        );
+        self.writer.write_all(head.as_bytes())?;
+        self.writer.write_all(body)?;
+        self.writer.flush()
+    }
+
+    /// Send arbitrary bytes: malformed or partial requests in tests.
+    pub fn write_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.writer.write_all(bytes)?;
+        self.writer.flush()
+    }
+
+    /// Read the next response; see [`read_response`].
+    pub fn read_response(&mut self) -> io::Result<(Response, bool)> {
+        read_response(&mut self.reader)
+    }
+
+    /// One request, one response.
+    pub fn request(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> io::Result<(Response, bool)> {
+        self.write_request(method, path, body)?;
+        self.read_response()
+    }
+}
+
+/// A keep-alive client for one server address with a pool of idle
+/// connections. A transport error surfaces as `io::Error`, which callers
+/// such as the fleet router treat as "this server cannot answer".
+///
+/// A pooled connection may have been closed by the server since it was
+/// parked (the request cap, a drain), so a failure on a *pooled*
+/// connection is retried once on a fresh one; a failure on a fresh
+/// connection propagates. Otherwise every request-cap close would look
+/// like a crash.
+pub struct Client {
+    addr: SocketAddr,
+    idle: Mutex<Vec<Conn>>,
+}
+
+impl Client {
+    /// A client for the server at `addr` (e.g. `127.0.0.1:4132`).
+    pub fn new(addr: &str) -> io::Result<Self> {
+        let addr = addr.parse::<SocketAddr>().map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidInput, format!("bad server address {addr:?}: {e}"))
+        })?;
+        Ok(Self { addr, idle: Mutex::new(Vec::new()) })
+    }
+
+    /// The server's socket address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Send one request and read the full response, each read bounded by
+    /// `timeout`.
+    pub fn roundtrip(
+        &self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        timeout: Duration,
+    ) -> io::Result<Response> {
+        let pooled = self.idle.lock().expect("idle pool lock poisoned").pop();
+        let was_pooled = pooled.is_some();
+        match self.attempt(pooled, method, path, body, timeout) {
+            Err(_) if was_pooled => self.attempt(None, method, path, body, timeout),
+            result => result,
+        }
+    }
+
+    fn attempt(
+        &self,
+        conn: Option<Conn>,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        timeout: Duration,
+    ) -> io::Result<Response> {
+        let mut conn = match conn {
+            Some(c) => {
+                c.reader.get_ref().set_read_timeout(Some(timeout))?;
+                c
+            }
+            None => Conn::connect(self.addr, timeout)?,
+        };
+        let (response, close) = conn.request(method, path, body)?;
+        if !close {
+            self.idle.lock().expect("idle pool lock poisoned").push(conn);
+        }
+        Ok(response)
+    }
+
+    /// Drop every idle connection (the server is being restarted or
+    /// drained; parked sockets to it are dead weight).
+    pub fn clear_pool(&self) {
+        self.idle.lock().expect("idle pool lock poisoned").clear();
+    }
+}
+
+/// One request on a fresh connection, closed afterwards — never a pool,
+/// so a probe measures the server rather than a parked socket.
+pub fn one_shot(
+    addr: impl ToSocketAddrs,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    timeout: Duration,
+) -> io::Result<Response> {
+    Ok(Conn::connect(addr, timeout)?.request(method, path, body)?.0)
+}
+
+/// `GET /healthz` liveness probe: healthy means a complete `200` within
+/// `timeout`.
+pub fn probe_healthz(addr: SocketAddr, timeout: Duration) -> bool {
+    matches!(one_shot(addr, "GET", "/healthz", b"", timeout), Ok(r) if r.status == 200)
 }
 
 #[cfg(test)]
@@ -578,7 +1054,7 @@ mod tests {
     #[test]
     fn responses_carry_length_and_connection() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "application/json", b"{}", false).unwrap();
+        write_response_with(&mut out, 200, "application/json", None, b"{}", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
@@ -586,7 +1062,169 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
 
         let mut out = Vec::new();
-        write_response(&mut out, 404, "application/json", b"{}", true).unwrap();
+        write_response_with(&mut out, 404, "application/json", None, b"{}", true).unwrap();
         assert!(String::from_utf8(out).unwrap().contains("connection: close"));
+    }
+    // --- client-side response parsing -----------------------------------
+
+    fn parse_response(input: &[u8]) -> io::Result<(Response, bool)> {
+        read_response(&mut Cursor::new(input.to_vec()))
+    }
+
+    fn error_kind(input: &[u8]) -> io::ErrorKind {
+        parse_response(input).expect_err("must be rejected").kind()
+    }
+
+    #[test]
+    fn written_responses_read_back_in_order() {
+        let mut wire = Vec::new();
+        write_response_with(&mut wire, 200, "application/json", None, b"{}", false).unwrap();
+        write_response_with(&mut wire, 503, "application/json", Some(2), b"{\"e\":1}", true)
+            .unwrap();
+        let mut c = Cursor::new(wire);
+        let (a, close) = read_response(&mut c).unwrap();
+        assert_eq!(a, Response::new(200, "application/json", "{}"));
+        assert!(!close);
+        let (b, close) = read_response(&mut c).unwrap();
+        assert_eq!((b.status, b.retry_after, b.body.as_slice()), (503, Some(2), &b"{\"e\":1}"[..]));
+        assert!(close);
+        assert_eq!(read_response(&mut c).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn connection_close_and_retry_after_are_read() {
+        let (r, close) = parse_response(
+            b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 3\r\nContent-Length: 0\r\n\
+              Connection: Close\r\n\r\n",
+        )
+        .unwrap();
+        assert_eq!((r.status, r.retry_after, close), (429, Some(3), true));
+        assert_eq!(r.content_type, "application/octet-stream");
+        // A non-numeric Retry-After (an HTTP date) is no hint, not an error.
+        let (r, close) = parse_response(
+            b"HTTP/1.1 503 x\r\nretry-after: Fri, 31 Dec 1999 23:59:59 GMT\r\n\
+              connection: keep-alive\r\ncontent-length: 0\r\n\r\n",
+        )
+        .unwrap();
+        assert_eq!((r.retry_after, close), (None, false));
+    }
+
+    #[test]
+    fn truncated_responses_are_eof_errors() {
+        for cut in [
+            &b""[..],
+            b"HTTP/1.1 20",
+            b"HTTP/1.1 200 OK\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-ty",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nabc",
+        ] {
+            assert_eq!(error_kind(cut), io::ErrorKind::UnexpectedEof, "{cut:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_heads_and_bad_or_oversized_lengths_are_rejected() {
+        let oversized =
+            format!("HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n", MAX_RESPONSE_BODY + 1);
+        let mut huge = b"HTTP/1.1 200 OK\r\nx: ".to_vec();
+        huge.extend(std::iter::repeat_n(b'a', MAX_RESPONSE_HEAD));
+        huge.extend_from_slice(b"\r\ncontent-length: 0\r\n\r\n");
+        for input in [
+            &b"HTTP/1.1 200 OK\r\ncontent-length: nope\r\n\r\n"[..],
+            b"HTTP/1.1 200 OK\r\ncontent-length: -1\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\nabc",
+            b"HTTP/1.1 200 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n",
+            oversized.as_bytes(),
+            b"HTTP/1.1 abc OK\r\ncontent-length: 0\r\n\r\n",
+            b"SPDY/9 200 OK\r\ncontent-length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nno-colon-here\r\ncontent-length: 0\r\n\r\n",
+            &huge,
+        ] {
+            assert_eq!(error_kind(input), io::ErrorKind::InvalidData, "{input:?}");
+        }
+    }
+
+    // --- the server loop, over real loopback sockets ---------------------
+
+    /// A server whose route echoes the request path, with `cap` as the
+    /// per-connection request cap.
+    fn echo_server(cap: usize) -> (SocketAddr, Shutdown, std::thread::JoinHandle<io::Result<()>>) {
+        let server = Server::bind("127.0.0.1:0", "test", 2, Limits::default(), cap).unwrap();
+        let (addr, shutdown) = (server.local_addr(), server.shutdown_handle());
+        let handle = std::thread::spawn(move || {
+            server.run(|req| match req {
+                Ok(req) => Response::new(200, "text/plain", req.path.clone()),
+                Err(e) => Response::error(&e),
+            })
+        });
+        (addr, shutdown, handle)
+    }
+
+    fn connect(addr: SocketAddr) -> Conn {
+        Conn::connect(addr, Duration::from_secs(5)).unwrap()
+    }
+
+    fn stop(shutdown: Shutdown, handle: std::thread::JoinHandle<io::Result<()>>) {
+        shutdown.trigger();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn connect_falls_through_to_an_address_that_answers() {
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let (live, shutdown, handle) = echo_server(0);
+        let mut conn = Conn::connect(&[dead, live][..], Duration::from_secs(5)).unwrap();
+        assert_eq!(conn.request("GET", "/up", b"").unwrap().0.text(), "/up");
+        stop(shutdown, handle);
+    }
+
+    #[test]
+    fn server_answers_pipelined_requests_in_order() {
+        let (addr, shutdown, handle) = echo_server(0);
+        let mut conn = connect(addr);
+        for path in ["/a", "/b", "/c"] {
+            conn.write_request("GET", path, b"").unwrap();
+        }
+        for path in ["/a", "/b", "/c"] {
+            let (resp, close) = conn.read_response().unwrap();
+            assert_eq!((resp.status, resp.text().as_ref(), close), (200, path, false));
+        }
+        stop(shutdown, handle);
+    }
+
+    #[test]
+    fn server_answers_a_framing_error_then_closes() {
+        let (addr, shutdown, handle) = echo_server(0);
+        let mut conn = connect(addr);
+        conn.write_raw(b"GARBAGE\r\n\r\nGET /never HTTP/1.1\r\n\r\n").unwrap();
+        let (resp, close) = conn.read_response().unwrap();
+        assert_eq!(resp.status, 400);
+        assert!(resp.text().contains("\"kind\":\"bad_request\""), "{}", resp.text());
+        assert!(close, "a framing error must announce the close");
+        assert!(conn.read_response().is_err(), "nothing is answered after the close");
+        stop(shutdown, handle);
+    }
+
+    #[test]
+    fn server_closes_at_the_request_cap() {
+        let (addr, shutdown, handle) = echo_server(2);
+        let mut conn = connect(addr);
+        assert!(!conn.request("GET", "/1", b"").unwrap().1);
+        assert!(conn.request("GET", "/2", b"").unwrap().1, "the capped answer announces the close");
+        assert!(conn.request("GET", "/3", b"").is_err());
+        stop(shutdown, handle);
+    }
+
+    #[test]
+    fn shutdown_drains_idle_keep_alives_and_run_returns() {
+        let (addr, shutdown, handle) = echo_server(0);
+        let mut idle = connect(addr);
+        assert_eq!(idle.request("GET", "/warm", b"").unwrap().0.status, 200);
+        let t0 = Instant::now();
+        stop(shutdown, handle);
+        assert!(t0.elapsed() < Duration::from_secs(3), "drain took {:?}", t0.elapsed());
+        assert!(idle.read_response().is_err(), "the idle keep-alive was closed");
     }
 }

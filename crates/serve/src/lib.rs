@@ -6,9 +6,13 @@
 //! `export_models` binary) into an online prediction service, with zero
 //! dependencies beyond the workspace:
 //!
-//! * [`http`] — a defensive hand-rolled HTTP/1.1 layer on `std::net`
-//!   (keep-alive, pipelining, hard head/body limits, a total per-request
-//!   read deadline that turns slow-loris clients into 408s).
+//! * [`http`] — the workspace's one hand-rolled HTTP/1.1 stack on
+//!   `std::net`: the request parser (keep-alive, pipelining, hard
+//!   head/body limits, a total per-request read deadline that turns
+//!   slow-loris clients into 408s), the server loop this crate and the
+//!   fleet front door both run (accept, connection-worker pool, request
+//!   cap, drain), and the strict client the fleet router, loadgen and
+//!   the end-to-end suites share.
 //! * [`registry`] — artifact scan at startup, lazy pipeline restore,
 //!   LRU eviction bounded by `--max-loaded`; also the supervision layer:
 //!   per-model circuit breakers, respawn of dead executors from their
@@ -24,7 +28,9 @@
 //!   Shed (429) and breaker (503) rejections carry `Retry-After`.
 //! * [`metrics`] — Prometheus text exposition: request/error counters,
 //!   latency and batch-size histograms, registry gauges, and the
-//!   overload series (sheds, queue depth, breaker state, in-flight).
+//!   overload series (sheds, queue depth, breaker state, in-flight);
+//!   its [`metrics::Exposition`] writer (label values escaped) renders
+//!   the fleet's registry too.
 //! * [`faults`] — deterministic `FAIRLENS_FAULT` chaos hooks
 //!   (`panic:`/`hang:`/`flaky:`/`abort:` per model id) for the chaos
 //!   harness; `abort:` kills the whole process at the k-th request, the
@@ -41,8 +47,9 @@
 //!   ok → warning → alerting status with hysteresis, surfaced in
 //!   `GET /v1/models`, `fairlens_live_metric` / `fairlens_drift_state` /
 //!   `fairlens_feedback_total`, and drift trace events).
-//! * [`server`] — listener + fixed worker pool + admission control +
-//!   routing + graceful drain (`POST /v1/shutdown`). `--shadow id=path`
+//! * [`server`] — the route fn on [`http::Server`]: admission control,
+//!   routing, per-response bookkeeping, graceful drain
+//!   (`POST /v1/shutdown`). `--shadow id=path`
 //!   scores every admitted request on both the incumbent and a candidate
 //!   artifact, answers from the incumbent, and counts divergences;
 //!   `POST /v1/promote` cuts the candidate over only when the comparison

@@ -5,9 +5,11 @@
 //! fixed buckets over atomics so the batcher's hot path never takes a
 //! lock. Rendering follows the Prometheus exposition format v0.0.4:
 //! `# HELP` / `# TYPE` preambles, cumulative `_bucket{le=...}` counts,
-//! `_sum` and `_count` per histogram.
+//! `_sum` and `_count` per histogram. [`Exposition`] is the one writer
+//! for that format; the fleet's registry renders through it too.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -50,31 +52,91 @@ impl<const N: usize> Histogram<N> {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn render(&self, out: &mut String, name: &str, help: &str) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        self.render_series(out, name, "");
+    fn render(&self, out: &mut Exposition, name: &str, help: &str) {
+        out.family(name, "histogram", help);
+        self.render_series(out, name, &[]);
     }
 
-    /// One histogram series under a metric `name`, tagged with `label`
-    /// (e.g. `phase="queue"`; empty for an unlabelled histogram). The
-    /// caller owns the `# HELP`/`# TYPE` preamble so several labelled
-    /// series can share one metric family.
-    fn render_series(&self, out: &mut String, name: &str, label: &str) {
-        use std::fmt::Write as _;
-        let sep = if label.is_empty() { String::new() } else { format!("{label},") };
+    /// One histogram series under a metric `name`, tagged with `labels`
+    /// (e.g. `phase="queue"`; none for an unlabelled histogram). The
+    /// caller owns the family preamble so several labelled series can
+    /// share one metric family.
+    fn render_series(&self, out: &mut Exposition, name: &str, labels: &[(&str, &dyn Display)]) {
+        let bucket = format!("{name}_bucket");
+        let mut with_le = labels.to_vec();
+        let le = with_le.len();
+        with_le.push(("le", &"+Inf"));
         let mut cumulative = 0u64;
-        for (bound, bucket) in self.bounds.iter().zip(&self.buckets) {
-            cumulative += bucket.load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{{{sep}le=\"{bound}\"}} {cumulative}");
+        for (bound, count) in self.bounds.iter().zip(&self.buckets) {
+            cumulative += count.load(Ordering::Relaxed);
+            with_le[le] = ("le", bound);
+            out.sample(&bucket, &with_le, cumulative);
         }
         cumulative += self.overflow.load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{{sep}le=\"+Inf\"}} {cumulative}");
+        with_le[le] = ("le", &"+Inf");
+        out.sample(&bucket, &with_le, cumulative);
         let sum = self.sum_micro.load(Ordering::Relaxed) as f64 / 1e6;
-        let braces = if label.is_empty() { String::new() } else { format!("{{{label}}}") };
-        let _ = writeln!(out, "{name}_sum{braces} {sum}");
-        let _ = writeln!(out, "{name}_count{braces} {}", self.count.load(Ordering::Relaxed));
+        out.sample(&format!("{name}_sum"), labels, sum);
+        out.sample(&format!("{name}_count"), labels, self.count.load(Ordering::Relaxed));
+    }
+}
+
+/// The `Content-Type` of a rendered exposition.
+pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
+/// A Prometheus text-format writer shared by every metric registry:
+/// `# HELP`/`# TYPE` family preambles, then samples whose label values
+/// are escaped as the format specifies (`\`, `"` and newline), so a
+/// client-supplied value such as a model id can never forge a line.
+#[derive(Default)]
+pub struct Exposition {
+    out: String,
+}
+
+impl Exposition {
+    /// Open a metric family: its `# HELP` and `# TYPE` lines.
+    pub fn family(&mut self, name: &str, kind: &str, help: &str) {
+        let _ = writeln!(self.out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    }
+
+    /// One sample line: `name{key="value",...} value`, or `name value`
+    /// without labels.
+    pub fn sample(&mut self, name: &str, labels: &[(&str, &dyn Display)], value: impl Display) {
+        self.out.push_str(name);
+        for (i, (key, label)) in labels.iter().enumerate() {
+            self.out.push(if i == 0 { '{' } else { ',' });
+            self.out.push_str(key);
+            self.out.push_str("=\"");
+            let _ = write!(Escaped(&mut self.out), "{label}");
+            self.out.push('"');
+        }
+        if !labels.is_empty() {
+            self.out.push('}');
+        }
+        let _ = writeln!(self.out, " {value}");
+    }
+
+    /// The rendered text.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
+/// Label-value escaping as a `fmt::Write` adapter, so values format
+/// straight into the output without an intermediate string.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            match c {
+                '\\' => self.0.push_str("\\\\"),
+                '"' => self.0.push_str("\\\""),
+                '\n' => self.0.push_str("\\n"),
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -188,16 +250,24 @@ impl Metrics {
         *self.sheds.lock().unwrap().entry(reason).or_insert(0) += 1;
     }
 
-    /// Track one model's live executor queue depth.
+    /// Track one model's executor queue depth.
     pub fn set_queue_depth(&self, model: &str, depth: u64) {
-        // Entry reuse keeps this at one allocation per model, not per job.
+        store_gauge(&mut self.queue_depth.lock().unwrap(), model, depth);
+    }
+
+    /// [`Self::set_queue_depth`] from an executor's live job counter,
+    /// read under the gauge's lock: when an enqueue and the dequeue that
+    /// follows it race to publish, the later publisher reads the later
+    /// count, so the gauge never keeps a stale depth.
+    pub fn publish_queue_depth(&self, model: &str, depth: &AtomicU64) {
         let mut map = self.queue_depth.lock().unwrap();
-        match map.get_mut(model) {
-            Some(d) => *d = depth,
-            None => {
-                map.insert(model.to_string(), depth);
-            }
-        }
+        store_gauge(&mut map, model, depth.load(Ordering::Relaxed));
+    }
+
+    /// Hold the queue-depth gauge's lock, parking every publisher.
+    #[cfg(test)]
+    pub(crate) fn lock_queue_depth(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, u64>> {
+        self.queue_depth.lock().unwrap()
     }
 
     /// Track one model's breaker state (0 closed / 1 half-open / 2 open).
@@ -262,22 +332,16 @@ impl Metrics {
 
     /// Render the Prometheus text exposition.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
+        let mut out = Exposition::default();
 
-        let _ = writeln!(out, "# HELP fairlens_requests_total Handled HTTP requests.");
-        let _ = writeln!(out, "# TYPE fairlens_requests_total counter");
+        out.family("fairlens_requests_total", "counter", "Handled HTTP requests.");
         for ((route, status), count) in self.requests.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_requests_total{{route=\"{route}\",status=\"{status}\"}} {count}"
-            );
+            out.sample("fairlens_requests_total", &[("route", route), ("status", status)], count);
         }
 
-        let _ = writeln!(out, "# HELP fairlens_errors_total Structured errors by taxonomy kind.");
-        let _ = writeln!(out, "# TYPE fairlens_errors_total counter");
+        out.family("fairlens_errors_total", "counter", "Structured errors by taxonomy kind.");
         for (kind, count) in self.errors.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_errors_total{{kind=\"{kind}\"}} {count}");
+            out.sample("fairlens_errors_total", &[("kind", kind)], count);
         }
 
         self.latency.render(
@@ -285,14 +349,13 @@ impl Metrics {
             "fairlens_request_latency_seconds",
             "Request wall-clock latency.",
         );
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_phase_seconds Predict-request time by phase \
-             (parse/queue/batch/predict)."
+        out.family(
+            "fairlens_phase_seconds",
+            "histogram",
+            "Predict-request time by phase (parse/queue/batch/predict).",
         );
-        let _ = writeln!(out, "# TYPE fairlens_phase_seconds histogram");
         for (phase, hist) in PREDICT_PHASES.iter().zip(&self.phases) {
-            hist.render_series(&mut out, "fairlens_phase_seconds", &format!("phase=\"{phase}\""));
+            hist.render_series(&mut out, "fairlens_phase_seconds", &[("phase", phase)]);
         }
 
         self.batch_rows.render(
@@ -301,147 +364,185 @@ impl Metrics {
             "Rows per batcher flush (one matrix pass each).",
         );
 
-        let _ = writeln!(out, "# HELP fairlens_predict_rows_total Predicted rows.");
-        let _ = writeln!(out, "# TYPE fairlens_predict_rows_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_predict_rows_total {}",
-            self.rows_total.load(Ordering::Relaxed)
+        out.family("fairlens_predict_rows_total", "counter", "Predicted rows.");
+        out.sample("fairlens_predict_rows_total", &[], self.rows_total.load(Ordering::Relaxed));
+        out.family(
+            "fairlens_shed_total",
+            "counter",
+            "Requests shed by admission control, by reason.",
         );
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_shed_total Requests shed by admission control, by reason."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_shed_total counter");
         for (reason, count) in self.sheds.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_shed_total{{reason=\"{reason}\"}} {count}");
+            out.sample("fairlens_shed_total", &[("reason", reason)], count);
         }
 
-        let _ = writeln!(out, "# HELP fairlens_queue_depth Jobs queued per model executor.");
-        let _ = writeln!(out, "# TYPE fairlens_queue_depth gauge");
+        out.family("fairlens_queue_depth", "gauge", "Jobs queued per model executor.");
         for (model, depth) in self.queue_depth.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_queue_depth{{model=\"{model}\"}} {depth}");
+            out.sample("fairlens_queue_depth", &[("model", model)], depth);
         }
 
         {
             let breakers = self.breakers.lock().unwrap();
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_breaker_state Circuit-breaker state per model \
-                 (0 closed, 1 half-open, 2 open)."
+            out.family(
+                "fairlens_breaker_state",
+                "gauge",
+                "Circuit-breaker state per model (0 closed, 1 half-open, 2 open).",
             );
-            let _ = writeln!(out, "# TYPE fairlens_breaker_state gauge");
             for (model, (gauge, _)) in breakers.iter() {
-                let _ = writeln!(out, "fairlens_breaker_state{{model=\"{model}\"}} {gauge}");
+                out.sample("fairlens_breaker_state", &[("model", model)], gauge);
             }
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_breaker_opens_total Breaker trips (transitions to open)."
+            out.family(
+                "fairlens_breaker_opens_total",
+                "counter",
+                "Breaker trips (transitions to open).",
             );
-            let _ = writeln!(out, "# TYPE fairlens_breaker_opens_total counter");
             for (model, (_, opens)) in breakers.iter() {
-                let _ =
-                    writeln!(out, "fairlens_breaker_opens_total{{model=\"{model}\"}} {opens}");
+                out.sample("fairlens_breaker_opens_total", &[("model", model)], opens);
             }
         }
 
         {
             let shadow = self.shadow.lock().unwrap();
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_shadow_compared_total Requests scored by both the \
-                 incumbent and its shadow candidate."
+            out.family(
+                "fairlens_shadow_compared_total",
+                "counter",
+                "Requests scored by both the incumbent and its shadow candidate.",
             );
-            let _ = writeln!(out, "# TYPE fairlens_shadow_compared_total counter");
             for (model, (compared, _)) in shadow.iter() {
-                let _ = writeln!(
-                    out,
-                    "fairlens_shadow_compared_total{{model=\"{model}\"}} {compared}"
-                );
+                out.sample("fairlens_shadow_compared_total", &[("model", model)], compared);
             }
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_shadow_divergence_total Shadow comparisons where the \
-                 candidate's scores differed from the incumbent's."
+            out.family(
+                "fairlens_shadow_divergence_total",
+                "counter",
+                "Shadow comparisons where the candidate's scores differed from the incumbent's.",
             );
-            let _ = writeln!(out, "# TYPE fairlens_shadow_divergence_total counter");
             for (model, (_, diverged)) in shadow.iter() {
-                let _ = writeln!(
-                    out,
-                    "fairlens_shadow_divergence_total{{model=\"{model}\"}} {diverged}"
-                );
+                out.sample("fairlens_shadow_divergence_total", &[("model", model)], diverged);
             }
         }
 
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_live_metric Windowed live fairness/correctness metrics \
-             over scored traffic."
+        out.family(
+            "fairlens_live_metric",
+            "gauge",
+            "Windowed live fairness/correctness metrics over scored traffic.",
         );
-        let _ = writeln!(out, "# TYPE fairlens_live_metric gauge");
         for ((model, metric, group), value) in self.live.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_live_metric{{model=\"{model}\",metric=\"{metric}\",group=\"{group}\"}} {value}"
+            out.sample(
+                "fairlens_live_metric",
+                &[("model", model), ("metric", metric), ("group", group)],
+                value,
             );
         }
 
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_drift_state Live-vs-training drift status per model \
-             (0 ok, 1 warning, 2 alerting)."
+        out.family(
+            "fairlens_drift_state",
+            "gauge",
+            "Live-vs-training drift status per model (0 ok, 1 warning, 2 alerting).",
         );
-        let _ = writeln!(out, "# TYPE fairlens_drift_state gauge");
         for (model, gauge) in self.drift.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_drift_state{{model=\"{model}\"}} {gauge}");
+            out.sample("fairlens_drift_state", &[("model", model)], gauge);
         }
 
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_feedback_total Outcome-label reports via POST /v1/feedback, \
-             by status."
+        out.family(
+            "fairlens_feedback_total",
+            "counter",
+            "Outcome-label reports via POST /v1/feedback, by status.",
         );
-        let _ = writeln!(out, "# TYPE fairlens_feedback_total counter");
         for ((model, status), count) in self.feedback.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_feedback_total{{model=\"{model}\",status=\"{status}\"}} {count}"
-            );
+            out.sample("fairlens_feedback_total", &[("model", model), ("status", status)], count);
         }
 
-        let _ = writeln!(out, "# HELP fairlens_inflight Predict requests currently in flight.");
-        let _ = writeln!(out, "# TYPE fairlens_inflight gauge");
-        let _ = writeln!(out, "fairlens_inflight {}", self.inflight.load(Ordering::Relaxed));
+        let scalars = [
+            ("fairlens_inflight", "gauge", "Predict requests currently in flight.", &self.inflight),
+            (
+                "fairlens_model_load_failures_total",
+                "counter",
+                "Artifact load failures (quarantines).",
+                &self.load_failures,
+            ),
+            (
+                "fairlens_models_loaded",
+                "gauge",
+                "Models resident in the registry.",
+                &self.models_loaded,
+            ),
+            ("fairlens_model_evictions_total", "counter", "LRU evictions.", &self.model_evictions),
+        ];
+        for (name, kind, help, value) in scalars {
+            out.family(name, kind, help);
+            out.sample(name, &[], value.load(Ordering::Relaxed));
+        }
+        out.finish()
+    }
+}
 
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_model_load_failures_total Artifact load failures (quarantines)."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_model_load_failures_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_model_load_failures_total {}",
-            self.load_failures.load(Ordering::Relaxed)
-        );
-
-        let _ = writeln!(out, "# HELP fairlens_models_loaded Models resident in the registry.");
-        let _ = writeln!(out, "# TYPE fairlens_models_loaded gauge");
-        let _ =
-            writeln!(out, "fairlens_models_loaded {}", self.models_loaded.load(Ordering::Relaxed));
-        let _ = writeln!(out, "# HELP fairlens_model_evictions_total LRU evictions.");
-        let _ = writeln!(out, "# TYPE fairlens_model_evictions_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_model_evictions_total {}",
-            self.model_evictions.load(Ordering::Relaxed)
-        );
-        out
+/// Set `model`'s gauge to `value`. Entry reuse keeps this at one
+/// allocation per model, not per job.
+fn store_gauge(map: &mut BTreeMap<String, u64>, model: &str, value: u64) {
+    match map.get_mut(model) {
+        Some(v) => *v = value,
+        None => {
+            map.insert(model.to_string(), value);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A registry with every family populated, label values included.
+    fn populated() -> Metrics {
+        let m = Metrics::new();
+        m.record_request("/v1/predict", 200, 0.003);
+        m.record_request("/v1/predict", 200, 0.3);
+        m.record_request("/metrics", 200, 2.5);
+        m.record_request("parse-error", 400, 0.0);
+        m.record_error("bad_request");
+        m.record_error("overloaded");
+        for (phase, secs) in
+            [("parse", 0.0004), ("queue", 0.002), ("batch", 0.011), ("predict", 0.07)]
+        {
+            m.record_phase(phase, secs);
+        }
+        m.record_flush(3);
+        m.record_flush(200);
+        m.set_models_loaded(2);
+        m.record_eviction();
+        m.record_shed("queue_full");
+        m.record_shed("inflight");
+        m.set_queue_depth("german-lr", 3);
+        m.set_queue_depth("adult-lr", 0);
+        m.set_breaker_state("german-lr", 2);
+        m.record_breaker_open("german-lr");
+        m.record_shadow_compare("german-lr", false);
+        m.record_shadow_compare("german-lr", true);
+        m.set_inflight(5);
+        m.record_load_failure();
+        m.set_live_metrics("german-lr", &[("di_star", "all", 0.75), ("pos_rate", "1", 0.375)]);
+        m.set_drift_state("german-lr", 1);
+        m.record_feedback("german-lr", "ok");
+        m.record_feedback("german-lr", "duplicate");
+        m
+    }
+
+    #[test]
+    fn render_is_byte_identical_to_the_golden_exposition() {
+        assert_eq!(populated().render(), include_str!("../testdata/metrics.golden.prom"));
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let mut out = Exposition::default();
+        out.family("x_total", "counter", "Help.");
+        out.sample("x_total", &[("model", &"back\\slash \"quoted\"\nnext"), ("n", &7)], 1);
+        out.sample("x_total", &[], 2.5);
+        assert_eq!(
+            out.finish(),
+            "# HELP x_total Help.\n# TYPE x_total counter\n\
+             x_total{model=\"back\\\\slash \\\"quoted\\\"\\nnext\",n=\"7\"} 1\n\
+             x_total 2.5\n"
+        );
+    }
 
     #[test]
     fn counters_and_histograms_render() {

@@ -1,13 +1,10 @@
-//! The prediction server: listener, worker pool, routing, drain.
+//! The prediction server: routing, admission control, drain.
 //!
-//! Concurrency model: one blocking accept loop hands sockets to a fixed
-//! pool of connection workers over an mpsc channel (the receiver behind a
-//! mutex, the textbook `std` work queue); each worker speaks keep-alive
-//! HTTP/1.1 on its socket and blocks on the per-model executor for
-//! predictions. Sockets carry a 250 ms read timeout so idle keep-alive
-//! connections notice the shutdown flag promptly; a total read deadline
-//! layered on that tick turns slow-loris requests into 408s (see
-//! [`crate::http`]).
+//! Concurrency model: the shared [`http::Server`] accepts and runs a
+//! fixed pool of keep-alive connection workers; this module is the route
+//! fn it calls, and each worker blocks on the per-model executor for
+//! predictions. A total read deadline turns slow-loris requests into
+//! 408s (see [`crate::http`]).
 //!
 //! Overload protection happens in three layers, cheapest first:
 //!
@@ -28,37 +25,33 @@
 //! the executor from its artifact on the next admitted request.
 //!
 //! Graceful shutdown (`POST /v1/shutdown` — `std` has no signal API, so
-//! the drain trigger is a route): set the flag, self-connect to wake the
-//! blocking accept, stop accepting, drop the queue sender so workers
-//! drain already-accepted connections, join the pool, unload the registry
-//! (joining every model executor), return `Ok(())`. In-flight requests
-//! complete and are answered; idle keep-alive connections close; new
-//! predict requests on draining connections get a structured 503.
+//! the drain trigger is a route): trigger the HTTP server's drain, which
+//! stops accepting and joins the connection workers once their
+//! connections finish, then unload the registry (joining every model
+//! executor) and return `Ok(())`. In-flight requests complete and are
+//! answered; idle keep-alive connections close; new predict requests on
+//! draining connections get a structured 503.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use fairlens_budget::Budget;
 use fairlens_frame::Dataset;
-use fairlens_json::{object, parse, Value};
+use fairlens_json::{object, Value};
 
 use crate::batcher::{BatchConfig, ModelWorker, PredictJob, PredictOutput};
 use crate::breaker::BreakerConfig;
 use crate::error::{ErrorKind, ServeError};
 use crate::faults::ServeFaults;
-use crate::http::{read_request, write_response_with, Limits, ReadOutcome, Request};
-use crate::metrics::Metrics;
+use crate::http::{self, str_field, Limits, Request, Response, Shutdown};
+use crate::metrics::{Metrics, CONTENT_TYPE as PROMETHEUS};
 use crate::monitors::MonitorHub;
 use crate::recorder::Recorder;
 use crate::registry::{ModelInfo, ModelOutcome, Registry, ShadowSummary};
 use fairlens_monitor::{DriftConfig, MonitorConfig, MonitorSnapshot, SystemClock};
-
-const JSON: &str = "application/json";
-const PROM: &str = "text/plain; version=0.0.4";
 
 /// Server configuration (CLI flags map onto this one-to-one).
 #[derive(Debug, Clone)]
@@ -164,14 +157,11 @@ impl Default for ServeConfig {
 struct Ctx {
     registry: Registry,
     metrics: Arc<Metrics>,
-    shutdown: AtomicBool,
+    shutdown: Shutdown,
     deadline: Duration,
-    limits: Limits,
-    local_addr: SocketAddr,
     /// Concurrently processed predict requests, against `max_inflight`.
     inflight: AtomicU64,
     max_inflight: u64,
-    max_conn_requests: usize,
     /// Present when the server was configured with a trace path.
     trace: Option<fairlens_trace::TraceSink>,
     /// Request counter naming the per-request tracks (`req/000042`).
@@ -213,9 +203,8 @@ impl Drop for InflightSlot<'_> {
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
+    http: http::Server,
     ctx: Arc<Ctx>,
-    workers: usize,
     trace_path: Option<PathBuf>,
 }
 
@@ -273,34 +262,30 @@ impl Server {
             metrics.clone(),
             Arc::new(SystemClock),
         );
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
+        let http =
+            http::Server::bind(&cfg.addr, "serve", cfg.workers, cfg.limits, cfg.max_conn_requests)?;
         Ok(Self {
-            listener,
             ctx: Arc::new(Ctx {
                 registry,
                 metrics,
-                shutdown: AtomicBool::new(false),
+                shutdown: http.shutdown_handle(),
                 deadline: cfg.deadline,
-                limits: cfg.limits,
-                local_addr,
                 inflight: AtomicU64::new(0),
                 max_inflight: cfg.max_inflight as u64,
-                max_conn_requests: cfg.max_conn_requests,
                 trace: cfg.trace.as_ref().map(|_| fairlens_trace::TraceSink::new()),
                 req_seq: AtomicU64::new(0),
                 recorder,
                 monitors,
                 worker_id: cfg.worker_id,
             }),
-            workers: cfg.workers.max(1),
+            http,
             trace_path: cfg.trace,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.local_addr
+        self.http.local_addr()
     }
 
     /// The metric registry (shared with in-process tests).
@@ -313,52 +298,12 @@ impl Server {
     pub fn run(self) -> std::io::Result<()> {
         eprintln!(
             "[serve] listening on {} ({} model(s), {} quarantined)",
-            self.ctx.local_addr,
+            self.http.local_addr(),
             self.ctx.registry.len(),
             self.ctx.registry.quarantined().len(),
         );
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(self.workers);
-        for i in 0..self.workers {
-            let rx = rx.clone();
-            let ctx = self.ctx.clone();
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-{i}"))
-                    .spawn(move || loop {
-                        // The temporary guard drops before handling, so
-                        // only the dequeue is serialized.
-                        let stream = match rx.lock().unwrap().recv() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        };
-                        handle_connection(stream, &ctx);
-                    })?,
-            );
-        }
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) => {
-                    if self.ctx.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    eprintln!("[serve] accept error: {e}");
-                    continue;
-                }
-            };
-            if self.ctx.shutdown.load(Ordering::SeqCst) {
-                // The self-connect wake (or a late client); stop accepting.
-                drop(stream);
-                break;
-            }
-            let _ = tx.send(stream);
-        }
-        drop(tx); // workers drain accepted connections, then exit
-        for h in pool {
-            let _ = h.join();
-        }
+        let ctx = &self.ctx;
+        self.http.run(|req| handle(ctx, req))?;
         self.ctx.registry.shutdown(); // joins every model executor
         if let (Some(path), Some(sink)) = (&self.trace_path, &self.ctx.trace) {
             let collapsed = path.with_extension("collapsed");
@@ -375,88 +320,38 @@ impl Server {
     }
 }
 
-/// Speak keep-alive HTTP on one socket until close, error, or drain.
-fn handle_connection(stream: TcpStream, ctx: &Ctx) {
-    // The read timeout is the shutdown-poll tick for idle keep-alives and
-    // the resolution of the per-request read deadline.
-    if stream.set_read_timeout(Some(Duration::from_millis(250))).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut served: usize = 0;
-    loop {
-        let abandon_when_idle =
-            |started: bool| ctx.shutdown.load(Ordering::SeqCst) && !started;
-        match read_request(&mut reader, &ctx.limits, abandon_when_idle) {
-            Ok(ReadOutcome::Closed) => return,
-            Err(e) => {
-                // Framing errors poison the stream: answer, then close.
-                ctx.metrics.record_error(e.kind.name());
-                ctx.metrics.record_request("parse-error", e.kind.status(), 0.0);
-                let _ = write_response_with(
-                    &mut writer,
-                    e.kind.status(),
-                    JSON,
-                    e.retry_after,
-                    e.to_json().as_bytes(),
-                    true,
-                );
-                return;
-            }
-            Ok(ReadOutcome::Complete(req)) => {
-                served += 1;
-                let t0 = Instant::now();
-                let (status, content_type, body, retry_after) = match route(ctx, &req) {
-                    Ok((status, content_type, body)) => (status, content_type, body, None),
-                    Err(e) => {
-                        ctx.metrics.record_error(e.kind.name());
-                        (e.kind.status(), JSON, e.to_json(), e.retry_after)
-                    }
-                };
-                // Draining connections close after the in-flight answer,
-                // as do connections that hit the per-connection request
-                // cap (the client reconnects; one pipelining socket
-                // cannot pin a worker forever).
-                let close = req.close
-                    || ctx.shutdown.load(Ordering::SeqCst)
-                    || (ctx.max_conn_requests > 0 && served >= ctx.max_conn_requests);
-                ctx.metrics.record_request(
-                    route_label(&req.path),
-                    status,
-                    t0.elapsed().as_secs_f64(),
-                );
-                if let Some(rec) = &ctx.recorder {
-                    // Feedback exchanges are part of the recorded truth:
-                    // replaying them is what reproduces window state.
-                    if req.path == "/v1/predict" || req.path == "/v1/feedback" {
-                        rec.record(
-                            &req.method,
-                            &req.path,
-                            &req.body,
-                            status,
-                            &body,
-                            t0.elapsed().as_micros() as u64,
-                        );
-                    }
-                }
-                if write_response_with(
-                    &mut writer,
-                    status,
-                    content_type,
-                    retry_after,
-                    body.as_bytes(),
-                    close,
-                )
-                .is_err()
-                    || close
-                {
-                    return;
-                }
-            }
+/// Answer one request (or framing error) and do the per-response
+/// bookkeeping: request and error counters, latency, the recorder.
+fn handle(ctx: &Ctx, req: Result<&Request, ServeError>) -> Response {
+    let req = match req {
+        Ok(req) => req,
+        Err(e) => {
+            ctx.metrics.record_error(e.kind.name());
+            ctx.metrics.record_request("parse-error", e.kind.status(), 0.0);
+            return Response::error(&e);
+        }
+    };
+    let t0 = Instant::now();
+    let response = route(ctx, req).unwrap_or_else(|e| {
+        ctx.metrics.record_error(e.kind.name());
+        Response::error(&e)
+    });
+    ctx.metrics.record_request(route_label(&req.path), response.status, t0.elapsed().as_secs_f64());
+    if let Some(rec) = &ctx.recorder {
+        // Feedback exchanges are part of the recorded truth: replaying
+        // them is what reproduces window state.
+        if req.path == "/v1/predict" || req.path == "/v1/feedback" {
+            rec.record(
+                &req.method,
+                &req.path,
+                &req.body,
+                response.status,
+                &response.text(),
+                t0.elapsed().as_micros() as u64,
+            );
         }
     }
+    response
 }
 
 /// Known paths keep their own metric label; the rest share one so a
@@ -469,13 +364,13 @@ fn route_label(path: &str) -> &str {
     }
 }
 
-fn route(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn route(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             // Detail beyond "ok" is for the fleet supervisor: the pid
             // confirms the probe reached the process it spawned, and
             // draining tells the router to stop placing new traffic here.
-            let draining = ctx.shutdown.load(Ordering::SeqCst);
+            let draining = ctx.shutdown.is_triggered();
             let mut fields = vec![
                 (
                     "status",
@@ -488,12 +383,12 @@ fn route(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeE
             if let Some(w) = ctx.worker_id {
                 fields.push(("worker", Value::Integer(w)));
             }
-            Ok((200, JSON, object(fields).to_json()))
+            Ok(Response::ok(object(fields)))
         }
-        ("GET", "/metrics") => Ok((200, PROM, ctx.metrics.render())),
-        ("GET", "/v1/models") => Ok((200, JSON, models_body(ctx))),
+        ("GET", "/metrics") => Ok(Response::new(200, PROMETHEUS, ctx.metrics.render())),
+        ("GET", "/v1/models") => Ok(Response::ok(models_body(ctx))),
         ("POST", "/v1/predict") => {
-            if ctx.shutdown.load(Ordering::SeqCst) {
+            if ctx.shutdown.is_triggered() {
                 // Retry-After 1: the client should land on a healthy
                 // replica (or the restarted server) almost immediately.
                 return Err(ServeError::new(
@@ -509,19 +404,10 @@ fn route(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeE
         ("POST", "/v1/shadow") => shadow_ctl(ctx, req),
         ("POST", "/v1/refresh") => refresh(ctx, req),
         ("POST", "/v1/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            // Wake the blocking accept so the drain starts immediately.
-            let _ = TcpStream::connect(ctx.local_addr);
-            Ok((200, JSON, object([("status", Value::String("shutting down".into()))]).to_json()))
+            ctx.shutdown.trigger();
+            Ok(Response::ok(object([("status", Value::String("shutting down".into()))])))
         }
-        (_, "/healthz" | "/metrics" | "/v1/models" | "/v1/predict" | "/v1/feedback"
-        | "/v1/promote" | "/v1/shadow" | "/v1/refresh" | "/v1/shutdown") => {
-            Err(ServeError::new(
-                ErrorKind::MethodNotAllowed,
-                format!("{} does not support {}", req.path, req.method),
-            ))
-        }
-        _ => Err(ServeError::new(ErrorKind::NotFound, format!("no route {}", req.path))),
+        _ => Err(req.unrouted(route_label(&req.path) != "other")),
     }
 }
 
@@ -654,7 +540,7 @@ fn unloadable_value(id: String, reason: String) -> Value {
     ])
 }
 
-fn models_body(ctx: &Ctx) -> String {
+fn models_body(ctx: &Ctx) -> Value {
     let quarantined: std::collections::BTreeMap<String, String> =
         ctx.registry.quarantined().into_iter().collect();
     let mut models: Vec<Value> = ctx
@@ -679,16 +565,12 @@ fn models_body(ctx: &Ctx) -> String {
             models.push(unloadable_value(id, reason));
         }
     }
-    object([
-        ("count", Value::Integer(models.len() as u64)),
-        ("models", Value::Array(models)),
-    ])
-    .to_json()
+    object([("count", Value::Integer(models.len() as u64)), ("models", Value::Array(models))])
 }
 
 /// `POST /v1/predict`: `{"model": id, "rows": [...]}` (batch) or
 /// `{"model": id, "row": {...}}` (single).
-fn predict(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn predict(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     // One trace track per predict request; the guard flushes at return
     // (error paths included), so failed requests still leave their
     // `parse` span behind.
@@ -708,13 +590,8 @@ fn predict(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Serv
     };
     let parse_t0 = Instant::now();
     let parse_span = fairlens_trace::span("parse");
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
-    let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
-    let model_id = v
-        .get("model")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::bad_request("missing string field \"model\""))?;
+    let v = req.json()?;
+    let model_id = str_field(&v, "model")?;
     let (rows, singular) = match (v.get("row"), v.get("rows")) {
         (Some(row), None) => (std::slice::from_ref(row).to_vec(), true),
         (None, Some(Value::Array(rows))) => (rows.clone(), false),
@@ -817,7 +694,7 @@ fn predict(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Serv
             ("scores", Value::from_f64s(out.scores.iter().copied())),
         ])
     };
-    Ok((200, JSON, body.to_json()))
+    Ok(Response::ok(body))
 }
 
 /// Score the request on the shadow candidate and record the comparison
@@ -849,20 +726,15 @@ fn shadow_compare(
 /// them onto its window. Unknown models and unknown/expired seqs are
 /// 404s, a second report for the same seq is a 409, and a label count
 /// that disagrees with the original request's row count is a 400.
-fn feedback(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn feedback(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     // Feedback gets its own request track: a drift transition this
     // report triggers emits its trace event from this thread, and
     // without a collector the event would be dropped on the floor.
     let _collect = ctx.trace.as_ref().map(|sink| {
         sink.collect(format!("req/{:06}", ctx.req_seq.fetch_add(1, Ordering::Relaxed)))
     });
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
-    let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
-    let model_id = v
-        .get("model")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::bad_request("missing string field \"model\""))?;
+    let v = req.json()?;
+    let model_id = str_field(&v, "model")?;
     // Resolve the model first: an unknown model is its own 404 and never
     // reaches the per-model feedback counters.
     ctx.registry.model(model_id)?;
@@ -898,43 +770,28 @@ fn feedback(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Ser
         return Err(ServeError::bad_request("\"labels\" is empty"));
     }
     let receipt = ctx.monitors.feedback(model_id, seq, &labels)?;
-    Ok((
-        200,
-        JSON,
-        object([
-            ("status", Value::String("ok".into())),
-            ("model", Value::String(model_id.into())),
-            ("seq", Value::Integer(receipt.seq)),
-            ("matched", Value::Integer(receipt.matched as u64)),
-            ("expected", Value::Integer(receipt.expected as u64)),
-        ])
-        .to_json(),
-    ))
+    Ok(Response::ok(object([
+        ("status", Value::String("ok".into())),
+        ("model", Value::String(model_id.into())),
+        ("seq", Value::Integer(receipt.seq)),
+        ("matched", Value::Integer(receipt.matched as u64)),
+        ("expected", Value::Integer(receipt.expected as u64)),
+    ])))
 }
 
 /// `POST /v1/promote`: `{"model": id}` — cut the model's shadow
 /// candidate over the incumbent artifact, provided the comparison window
 /// is non-empty and divergence-free (else a structured 409 naming the
 /// first differing request and score bits).
-fn promote(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
-    let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
-    let model_id = v
-        .get("model")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::bad_request("missing string field \"model\""))?;
+fn promote(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
+    let v = req.json()?;
+    let model_id = str_field(&v, "model")?;
     let compared = ctx.registry.promote(model_id)?;
-    Ok((
-        200,
-        JSON,
-        object([
-            ("status", Value::String("promoted".into())),
-            ("model", Value::String(model_id.into())),
-            ("compared", Value::Integer(compared)),
-        ])
-        .to_json(),
-    ))
+    Ok(Response::ok(object([
+        ("status", Value::String("promoted".into())),
+        ("model", Value::String(model_id.into())),
+        ("compared", Value::Integer(compared)),
+    ])))
 }
 
 /// `POST /v1/shadow`: runtime shadow control, the fleet's blue/green
@@ -943,14 +800,9 @@ fn promote(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Serv
 /// one); `{"model": id}` detaches whatever is attached without
 /// promoting — the reload abort path. Detaching with nothing attached is
 /// an idempotent no-op so an abort can always run it.
-fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
-    let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
-    let model_id = v
-        .get("model")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::bad_request("missing string field \"model\""))?;
+fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
+    let v = req.json()?;
+    let model_id = str_field(&v, "model")?;
     match v.get("artifact").map(|a| a.as_str()) {
         Some(Some(artifact)) => {
             let path = PathBuf::from(artifact);
@@ -962,16 +814,11 @@ fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), S
                 }
             })?;
             eprintln!("[serve] shadowing model {model_id:?} with candidate {}", path.display());
-            Ok((
-                200,
-                JSON,
-                object([
-                    ("status", Value::String("shadowing".into())),
-                    ("model", Value::String(model_id.into())),
-                    ("candidate", Value::String(artifact.into())),
-                ])
-                .to_json(),
-            ))
+            Ok(Response::ok(object([
+                ("status", Value::String("shadowing".into())),
+                ("model", Value::String(model_id.into())),
+                ("candidate", Value::String(artifact.into())),
+            ])))
         }
         Some(None) => Err(ServeError::bad_request("\"artifact\" must be a string path")),
         None => {
@@ -979,16 +826,11 @@ fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), S
             if detached {
                 eprintln!("[serve] detached shadow candidate from model {model_id:?}");
             }
-            Ok((
-                200,
-                JSON,
-                object([
-                    ("status", Value::String("detached".into())),
-                    ("model", Value::String(model_id.into())),
-                    ("was_attached", Value::Bool(detached)),
-                ])
-                .to_json(),
-            ))
+            Ok(Response::ok(object([
+                ("status", Value::String("detached".into())),
+                ("model", Value::String(model_id.into())),
+                ("was_attached", Value::Bool(detached)),
+            ])))
         }
     }
 }
@@ -999,24 +841,14 @@ fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), S
 /// id's quarantine entry. This is the fleet's blue/green cutover hook:
 /// the fleet swaps the artifact file, then refreshes every replica so no
 /// worker keeps answering from the old version.
-fn refresh(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
-    let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
-    let model_id = v
-        .get("model")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::bad_request("missing string field \"model\""))?;
+fn refresh(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
+    let v = req.json()?;
+    let model_id = str_field(&v, "model")?;
     ctx.registry.refresh(model_id)?;
-    Ok((
-        200,
-        JSON,
-        object([
-            ("status", Value::String("refreshed".into())),
-            ("model", Value::String(model_id.into())),
-        ])
-        .to_json(),
-    ))
+    Ok(Response::ok(object([
+        ("status", Value::String("refreshed".into())),
+        ("model", Value::String(model_id.into())),
+    ])))
 }
 
 /// Submit one validated job and wait for its reply within the deadline.

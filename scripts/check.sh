@@ -12,8 +12,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The root `cargo test` runs only the facade package; the serving tiers'
+# unit and end-to-end suites need naming.
+echo "==> cargo test -q -p fairlens-serve -p fairlens-fleet"
+cargo test -q -p fairlens-serve -p fairlens-fleet
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# The end-to-end benchmark builds the program from source as path
+# dependencies: a refactor that breaks its imports must fail here.
+echo "==> e2e benchmark build + self-tests"
+cargo build --release --manifest-path e2e_bench/Cargo.toml
+cargo test --release --manifest-path e2e_bench/Cargo.toml
 
 if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     smoke_out="$(mktemp -d)"
