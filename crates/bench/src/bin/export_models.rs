@@ -23,7 +23,7 @@ use std::time::Instant;
 use fairlens_bench::cli::{announce_output, CommonArgs};
 use fairlens_bench::spec::{cell_seed, dataset_seed, fold_seed};
 use fairlens_bench::{metric_suite, PAPER_CD_BOUNDS};
-use fairlens_core::{all_approaches, baseline_approach, Approach, DataSchema, ModelArtifact};
+use fairlens_core::{all_approaches, baseline_approach, Approach, ModelArtifact};
 use fairlens_frame::split;
 use fairlens_synth::{DatasetKind, ALL_DATASETS};
 use rand::rngs::StdRng;
@@ -110,14 +110,12 @@ fn main() {
     for kind in datasets {
         let name = kind.name();
         let rows = args.scale.rows(kind);
-        let (train, test, schema) = {
+        let (train, test) = {
             let _collect = trace.as_ref().map(|s| s.collect(format!("data/{name}/r{rows}")));
             let _synth = fairlens_trace::span("synth");
             let data = kind.generate(rows, dataset_seed(args.seed, name));
             let mut split_rng = StdRng::seed_from_u64(fold_seed(args.seed, name, 0));
-            let (train, test) = split::train_test_split(&data, 0.3, &mut split_rng);
-            let schema = DataSchema::of(&train);
-            (train, test, schema)
+            split::train_test_split(&data, 0.3, &mut split_rng)
         };
 
         // Per-dataset resolution so the Salimi variants pick up the
@@ -154,8 +152,11 @@ fn main() {
                     continue;
                 }
             };
-            let pipeline = match fitted.snapshot() {
-                Ok(p) => p,
+            // Metrics fill in below; packaging first skips pipelines the
+            // artifact format cannot express before predicting with them.
+            let packaged = ModelArtifact::new(&approach, name, &train, &fitted, seed, Vec::new());
+            let mut artifact = match packaged {
+                Ok(a) => a,
                 Err(e) => {
                     eprintln!("[export_models] skip {name}/{}: {e}", approach.name);
                     skipped += 1;
@@ -170,20 +171,11 @@ fn main() {
                 let _span = fairlens_trace::span("metrics");
                 metric_suite(&fitted, kind, &test, &preds, seed, PAPER_CD_BOUNDS)
             };
-            let artifact = ModelArtifact {
-                approach: approach.name.to_string(),
-                stage: approach.stage.label().to_string(),
-                dataset: name.to_string(),
-                seed,
-                train_rows: train.n_rows() as u64,
-                train_metrics: fairlens_bench::METRIC_KEYS
-                    .iter()
-                    .map(|k| k.to_string())
-                    .zip(report.values())
-                    .collect(),
-                schema: schema.clone(),
-                pipeline,
-            };
+            artifact.train_metrics = fairlens_bench::METRIC_KEYS
+                .iter()
+                .map(|k| k.to_string())
+                .zip(report.values())
+                .collect();
             let path = out_dir.join(format!("{}.flm", model_id(name, approach.name)));
             if let Err(e) = artifact.save(&path) {
                 eprintln!("[export_models] cannot write {}: {e}", path.display());

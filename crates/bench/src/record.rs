@@ -26,6 +26,7 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
+use fairlens_core::write_lines_atomic;
 use fairlens_json::{escape_into, fmt_f64, parse, Value};
 
 /// JSON keys of the nine normalised metrics, in
@@ -376,40 +377,6 @@ pub fn read_jsonl_lossy(path: &Path) -> Result<(Vec<RunRecord>, usize), String> 
 /// `results/fig12_stability.jsonl` → `results/fig12_stability.failures.jsonl`.
 pub fn failures_path(results: &Path) -> std::path::PathBuf {
     results.with_extension("failures.jsonl")
-}
-
-/// Write JSON lines atomically: write to a `.tmp` sibling, fsync it,
-/// rename over `path`, then fsync the directory so the rename is durable.
-/// A reader never observes a partially written file.
-fn write_lines_atomic(path: &Path, lines: impl Iterator<Item = String>) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => {
-            std::fs::create_dir_all(p)?;
-            Some(p)
-        }
-        _ => None,
-    };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
-        for line in lines {
-            writeln!(w, "{line}")?;
-        }
-        w.flush()?;
-        w.get_ref().sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = parent {
-        // Durable rename: fsync the containing directory (best-effort on
-        // platforms where directories cannot be opened for sync).
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 /// Atomically (re)write a results file; see [`write_lines_atomic`].

@@ -8,7 +8,7 @@
 //! relies on to serve offline-identical predictions.
 
 use fairlens_bench::spec::cell_seed;
-use fairlens_core::{approach_by_name, DataSchema, ModelArtifact};
+use fairlens_core::{approach_by_name, ModelArtifact};
 use fairlens_synth::ALL_DATASETS;
 
 /// Baseline + one pre- + one in- + one post-processor. `Kearns^PE`
@@ -26,7 +26,6 @@ fn saved_models_predict_byte_identically_across_all_datasets() {
         let name = kind.name();
         let train = kind.generate(400, 11);
         let fresh = kind.generate(90, 77);
-        let schema = DataSchema::of(&train);
         for approach_name in APPROACHES {
             let approach = approach_by_name(approach_name).unwrap();
             let seed = cell_seed(42, approach_name, name, 0);
@@ -34,16 +33,9 @@ fn saved_models_predict_byte_identically_across_all_datasets() {
                 Ok(f) => f,
                 Err(e) => panic!("{name}/{approach_name}: fit failed: {e}"),
             };
-            let artifact = ModelArtifact {
-                approach: approach_name.to_string(),
-                stage: approach.stage.label().to_string(),
-                dataset: name.to_string(),
-                seed,
-                train_rows: train.n_rows() as u64,
-                train_metrics: vec![("accuracy".into(), 0.5)],
-                schema: schema.clone(),
-                pipeline: fitted.snapshot().unwrap(),
-            };
+            let metrics = vec![("accuracy".into(), 0.5)];
+            let artifact =
+                ModelArtifact::new(&approach, name, &train, &fitted, seed, metrics).unwrap();
 
             // Through the text encoding…
             let reparsed = ModelArtifact::from_json(&artifact.to_json()).unwrap();

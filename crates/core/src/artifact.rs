@@ -15,12 +15,13 @@
 //! than mis-parsing.
 
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use fairlens_frame::{Column, Dataset};
 use fairlens_json::{object, parse, Value};
 
-use crate::pipeline::FittedPipeline;
+use crate::error::CoreError;
+use crate::pipeline::{Approach, FittedPipeline};
 use crate::snapshot::PipelineSnapshot;
 
 /// File extension for model artifacts.
@@ -331,6 +332,29 @@ pub struct ModelArtifact {
 }
 
 impl ModelArtifact {
+    /// Package a fitted pipeline: the stage comes from `approach`, the
+    /// row count and schema from `train`, the snapshot from `fitted`
+    /// (which fails for pipelines the artifact format cannot express).
+    pub fn new(
+        approach: &Approach,
+        dataset: &str,
+        train: &Dataset,
+        fitted: &FittedPipeline,
+        seed: u64,
+        train_metrics: Vec<(String, f64)>,
+    ) -> Result<Self, CoreError> {
+        Ok(Self {
+            approach: approach.name.to_string(),
+            stage: approach.stage.label().to_string(),
+            dataset: dataset.to_string(),
+            seed,
+            train_rows: train.n_rows() as u64,
+            train_metrics,
+            schema: DataSchema::of(train),
+            pipeline: fitted.snapshot()?,
+        })
+    }
+
     /// Rebuild the live pipeline.
     pub fn restore(&self) -> FittedPipeline {
         self.pipeline.restore()
@@ -398,17 +422,10 @@ impl ModelArtifact {
         })
     }
 
-    /// Write the artifact to `path` (atomically: temp file + rename, so a
-    /// concurrent loader never observes a half-written artifact).
+    /// Write the artifact to `path` with [`write_lines_atomic`], so a
+    /// concurrent loader never observes a half-written artifact.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("flm.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_json().as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        write_lines_atomic(path, std::iter::once(self.to_json()))
     }
 
     /// Read an artifact from `path`.
@@ -417,6 +434,44 @@ impl ModelArtifact {
             .map_err(|e| format!("read {}: {e}", path.display()))?;
         Self::from_json(&text).map_err(|e| format!("parse {}: {e}", path.display()))
     }
+}
+
+/// The workspace's one write-then-rename routine: write `lines` to a
+/// `.tmp` sibling, fsync it, rename it over `path`, then fsync the
+/// directory so the rename is durable. Parent directories are created as
+/// needed; a reader never observes a partially written file.
+pub fn write_lines_atomic(
+    path: &Path,
+    lines: impl Iterator<Item = String>,
+) -> std::io::Result<()> {
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => {
+            std::fs::create_dir_all(p)?;
+            Some(p)
+        }
+        _ => None,
+    };
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let file = std::fs::File::create(&tmp)?;
+        let mut w = std::io::BufWriter::new(file);
+        for line in lines {
+            writeln!(w, "{line}")?;
+        }
+        w.flush()?;
+        w.get_ref().sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = parent {
+        // Best-effort on platforms where directories cannot be opened
+        // for sync.
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
 }
 
 fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
@@ -459,17 +514,10 @@ mod tests {
 
     fn toy_artifact() -> (Dataset, FittedPipeline, ModelArtifact) {
         let d = toy(200);
-        let fitted = baseline_approach().fit(&d, 11).unwrap();
-        let artifact = ModelArtifact {
-            approach: "LR".into(),
-            stage: "baseline".into(),
-            dataset: "toy".into(),
-            seed: 11,
-            train_rows: d.n_rows() as u64,
-            train_metrics: vec![("acc".into(), 0.93), ("di".into(), 0.81)],
-            schema: DataSchema::of(&d),
-            pipeline: fitted.snapshot().unwrap(),
-        };
+        let approach = baseline_approach();
+        let fitted = approach.fit(&d, 11).unwrap();
+        let metrics = vec![("acc".into(), 0.93), ("di".into(), 0.81)];
+        let artifact = ModelArtifact::new(&approach, "toy", &d, &fitted, 11, metrics).unwrap();
         (d, fitted, artifact)
     }
 

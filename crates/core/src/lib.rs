@@ -40,7 +40,9 @@ pub mod registry;
 pub mod snapshot;
 pub mod validate;
 
-pub use artifact::{prediction_row, AttrSchema, AttrSchemaKind, DataSchema, ModelArtifact};
+pub use artifact::{
+    prediction_row, write_lines_atomic, AttrSchema, AttrSchemaKind, DataSchema, ModelArtifact,
+};
 pub use error::CoreError;
 pub use snapshot::{
     AdjusterSnapshot, LinearParams, ModelParams, ModelSnapshot, PipelineSnapshot,

@@ -22,12 +22,15 @@
 //!   re-send: predictions are deterministic reads, and a re-sent
 //!   feedback at worst answers 409 (already reported).
 //! * **Reload** — `POST /v1/reload {"model","artifact"}` stages the
-//!   candidate as a shadow on the model's primary, watches the serve
-//!   crate's divergence window fill against live traffic, then pauses
-//!   the model (holding new predicts, never failing them), drains the
-//!   in-flight forwards, swaps the artifact file write-then-rename in
-//!   the shared models directory, and refreshes every worker before
-//!   unpausing — no request is ever answered by a mix of versions.
+//!   candidate as a shadow on the model's primary (`POST /v1/shadow`),
+//!   watches the serve crate's divergence window fill against live
+//!   traffic, then pauses the model (holding new predicts, never failing
+//!   them), drains the in-flight forwards, and delegates the cutover to
+//!   the primary's `POST /v1/promote`: its registry judges the window
+//!   and installs the artifact it verified into the shared models
+//!   directory. The fleet then refreshes every worker before unpausing —
+//!   no request is ever answered by a mix of versions, and the fleet
+//!   never reads or writes a `.flm` itself.
 
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
@@ -685,13 +688,9 @@ fn fleet_body(ctx: &FleetCtx) -> Value {
     ])
 }
 
-/// The model's shadow window `(compared, diverged, first_divergence)` as
-/// seen by `worker`'s `/v1/models` listing.
-fn shadow_window(
-    be: &Backend,
-    model: &str,
-    timeout: Duration,
-) -> Result<(u64, u64, Option<String>), ServeError> {
+/// The model's shadow window `(compared, diverged)` as seen by
+/// `worker`'s `/v1/models` listing.
+fn shadow_window(be: &Backend, model: &str, timeout: Duration) -> Result<(u64, u64), ServeError> {
     let resp = be.roundtrip("GET", "/v1/models", b"", timeout).map_err(|e| {
         ServeError::new(ErrorKind::Unavailable, format!("primary stopped answering: {e}"))
             .with_retry_after(1)
@@ -712,17 +711,19 @@ fn shadow_window(
         ));
     };
     let int = |k: &str| shadow.get(k).cloned().and_then(|x| x.into_u64().ok()).unwrap_or(0);
-    let first = shadow.get("first_divergence").map(Value::to_json);
-    Ok((int("compared"), int("divergence"), first))
+    Ok((int("compared"), int("divergence")))
 }
 
 /// `POST /v1/reload {"model", "artifact", "window"?}`: blue/green
 /// artifact hot-reload. Stages the candidate as a shadow on the model's
-/// primary, lets the divergence window fill against live traffic,
-/// pauses the model, drains in-flight forwards, swaps the artifact file
-/// (write-then-rename), refreshes every worker, unpauses. A divergence
-/// anywhere aborts with a structured 409 naming the first differing
-/// scores; every abort path detaches the shadow and unpauses.
+/// primary (`POST /v1/shadow`), lets the divergence window fill against
+/// live traffic, pauses the model, drains in-flight forwards, and asks
+/// the primary's registry to judge and install the candidate
+/// (`POST /v1/promote`) before refreshing every worker and unpausing.
+/// A divergence is the registry's structured 409 naming the first
+/// differing scores; every abort path detaches the shadow and unpauses.
+/// Outcomes count by final status: 200 `ok`, 409 `rejected`, anything
+/// else `failed`.
 fn reload(ctx: &FleetCtx, req: &Request) -> Result<Response, ServeError> {
     let v = req.json()?;
     let model = str_field(&v, "model")?.to_string();
@@ -733,18 +734,19 @@ fn reload(ctx: &FleetCtx, req: &Request) -> Result<Response, ServeError> {
         .and_then(|w| w.into_u64().ok())
         .unwrap_or(ctx.cfg.reload_window)
         .max(1);
-    if std::fs::metadata(&artifact).is_err() {
-        return Err(ServeError::bad_request(format!("candidate artifact {artifact:?} not found")));
-    }
     if ctx.reload_busy.swap(true, Ordering::SeqCst) {
         return Err(ServeError::new(ErrorKind::Conflict, "another reload is in progress"));
     }
     let result = reload_inner(ctx, &model, &artifact, window);
     ctx.reload_busy.store(false, Ordering::SeqCst);
-    ctx.metrics.record_reload(match &result {
-        Ok(_) => "ok",
-        Err(e) if e.kind == ErrorKind::Conflict => "rejected",
-        Err(_) => "failed",
+    let status = match &result {
+        Ok(resp) => resp.status,
+        Err(e) => e.kind.status(),
+    };
+    ctx.metrics.record_reload(match status {
+        200 => "ok",
+        409 => "rejected",
+        _ => "failed",
     });
     result
 }
@@ -766,8 +768,12 @@ fn reload_inner(
     eprintln!(
         "[fleet] reload of model {model:?}: staging {artifact:?} as shadow on worker {primary_idx}"
     );
-    // Stage: attach the candidate as a shadow on the primary. Its
-    // schema/load errors propagate verbatim (400/404).
+    let unreachable = |e: std::io::Error| {
+        ServeError::new(ErrorKind::Unavailable, format!("primary unreachable: {e}"))
+            .with_retry_after(1)
+    };
+    // Stage: attach the candidate as a shadow on the primary. A missing
+    // or wrong-schema candidate is the primary's 400, relayed verbatim.
     let attach = object([
         ("model", Value::String(model.into())),
         ("artifact", Value::String(artifact.into())),
@@ -775,40 +781,27 @@ fn reload_inner(
     .to_json();
     let resp = primary
         .roundtrip("POST", "/v1/shadow", attach.as_bytes(), ctx.cfg.forward_timeout)
-        .map_err(|e| {
-            ServeError::new(ErrorKind::Unavailable, format!("primary unreachable: {e}"))
-                .with_retry_after(1)
-        })?;
+        .map_err(unreachable)?;
     if resp.status != 200 {
         return Ok(resp);
     }
+    let model_body = object([("model", Value::String(model.into()))]).to_json();
     let detach = || {
-        let body = object([("model", Value::String(model.into()))]).to_json();
-        let _ = primary.roundtrip("POST", "/v1/shadow", body.as_bytes(), ctx.cfg.forward_timeout);
+        let body = model_body.as_bytes();
+        let _ = primary.roundtrip("POST", "/v1/shadow", body, ctx.cfg.forward_timeout);
     };
-    // Soak: the shadow scores live traffic until the window fills. Any
-    // divergence aborts — the candidate provably disagrees.
+    // Soak: the shadow scores live traffic until the window fills or a
+    // divergence shows up. Judging is the registry's job, at promote.
     let deadline = Instant::now() + ctx.cfg.reload_timeout;
     let compared = loop {
-        let (compared, diverged, first) =
-            match shadow_window(&primary, model, ctx.cfg.forward_timeout) {
-                Ok(w) => w,
-                Err(e) => {
-                    detach();
-                    return Err(e);
-                }
-            };
-        if diverged > 0 {
-            detach();
-            return Err(ServeError::new(
-                ErrorKind::Conflict,
-                format!(
-                    "candidate diverged on {diverged} of {compared} comparison(s){}",
-                    first.map(|f| format!("; first: {f}")).unwrap_or_default()
-                ),
-            ));
-        }
-        if compared >= window {
+        let (compared, diverged) = match shadow_window(&primary, model, ctx.cfg.forward_timeout) {
+            Ok(w) => w,
+            Err(e) => {
+                detach();
+                return Err(e);
+            }
+        };
+        if diverged > 0 || compared >= window {
             break compared;
         }
         if Instant::now() >= deadline {
@@ -824,9 +817,9 @@ fn reload_inner(
         std::thread::sleep(Duration::from_millis(50));
     };
     // Cutover: pause the model (new predicts block, none fail), drain
-    // the in-flight forwards, re-check the window one last time, then
-    // swap the file and refresh every worker. The guard unpauses on
-    // every path out.
+    // the in-flight forwards, then let the primary judge the final
+    // window and install the candidate it verified. The guard unpauses
+    // on every path out.
     let _pause = PauseGuard::pause(ctx, model);
     let drain_deadline = Instant::now() + ctx.cfg.drain_timeout;
     loop {
@@ -850,39 +843,18 @@ fn reload_inner(
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    // The pause window between the soak check and the drain finishing
-    // may have scored a few more requests: re-check before committing.
-    match shadow_window(&primary, model, ctx.cfg.forward_timeout) {
-        Ok((_, 0, _)) => {}
-        Ok((compared, diverged, first)) => {
+    let resp = primary
+        .roundtrip("POST", "/v1/promote", model_body.as_bytes(), ctx.cfg.forward_timeout)
+        .map_err(|e| {
             detach();
-            return Err(ServeError::new(
-                ErrorKind::Conflict,
-                format!(
-                    "candidate diverged on {diverged} of {compared} comparison(s) during drain{}",
-                    first.map(|f| format!("; first: {f}")).unwrap_or_default()
-                ),
-            ));
-        }
-        Err(e) => {
-            detach();
-            return Err(e);
-        }
+            unreachable(e)
+        })?;
+    if resp.status != 200 {
+        detach();
+        return Ok(resp);
     }
-    detach();
-    // Swap: write-then-rename into the shared models directory, so a
-    // crash mid-cutover never leaves a half-written incumbent.
-    let incumbent = ctx.cfg.models_dir.join(format!("{model}.flm"));
-    let tmp = incumbent.with_extension("flm.tmp");
-    let internal = |msg: String| ServeError::new(ErrorKind::Internal, msg);
-    let bytes = std::fs::read(artifact)
-        .map_err(|e| internal(format!("cannot read candidate {artifact:?}: {e}")))?;
-    std::fs::write(&tmp, &bytes)
-        .and_then(|()| std::fs::rename(&tmp, &incumbent))
-        .map_err(|e| internal(format!("cutover to {} failed: {e}", incumbent.display())))?;
     // Refresh every routable worker (not just the replicas: placement
     // can shift later, and a stale catalogue entry must never answer).
-    let refresh_body = object([("model", Value::String(model.into()))]).to_json();
     let backends: Vec<(usize, Arc<Backend>)> = {
         let slots = ctx.slots.lock().unwrap();
         slots
@@ -895,19 +867,21 @@ fn reload_inner(
     let mut refreshed = 0u64;
     let mut failures = Vec::new();
     for (i, be) in backends {
-        match be.roundtrip("POST", "/v1/refresh", refresh_body.as_bytes(), ctx.cfg.forward_timeout)
-        {
+        match be.roundtrip("POST", "/v1/refresh", model_body.as_bytes(), ctx.cfg.forward_timeout) {
             Ok(resp) if resp.status == 200 => refreshed += 1,
             Ok(resp) => failures.push(format!("worker {i}: HTTP {} {}", resp.status, resp.text())),
             Err(e) => failures.push(format!("worker {i}: {e}")),
         }
     }
     if !failures.is_empty() {
-        return Err(internal(format!(
-            "artifact swapped but {} worker(s) failed to refresh: {}",
-            failures.len(),
-            failures.join("; ")
-        )));
+        return Err(ServeError::new(
+            ErrorKind::Internal,
+            format!(
+                "candidate promoted but {} worker(s) failed to refresh: {}",
+                failures.len(),
+                failures.join("; ")
+            ),
+        ));
     }
     eprintln!(
         "[fleet] reload of model {model:?} complete: {compared} clean comparison(s), \

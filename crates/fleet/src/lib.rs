@@ -14,9 +14,11 @@
 //!   re-sends the request on the next replica, and deterministic scoring
 //!   makes the answer bit-exact regardless of which replica speaks.
 //! * **Blue/green reload** — `POST /v1/reload` stages a candidate
-//!   artifact as a shadow against live traffic, requires a clean
-//!   divergence window, then pauses/drains/swaps/refreshes so no client
-//!   ever sees an error or a mixed-version response during cutover.
+//!   artifact as a shadow against live traffic, then pauses and drains
+//!   the model, has the primary's registry judge and install it
+//!   (`POST /v1/promote`, the serve crate's one cutover), and refreshes
+//!   every worker, so no client ever sees an error or a mixed-version
+//!   response. The fleet itself never reads or writes an artifact.
 //!
 //! The crate splits along testability lines: [`supervise`] is a pure
 //! clock-injected state machine (unit-testable without processes),

@@ -39,12 +39,14 @@ placement rebalances around it. A spawned worker that never announces
 within --boot-timeout-ms is killed and counted as an exit.
 
 Blue/green reload: POST /v1/reload {\"model\", \"artifact\", \"window\"?}
-stages the candidate artifact as a shadow on the model's primary,
-requires --reload-window (or \"window\") clean live comparisons within
---reload-timeout-ms, then pauses the model (new predicts block, none
-fail), drains in-flight requests (bounded by --drain-timeout-ms), swaps
-the artifact in --models write-then-rename, refreshes every worker, and
-unpauses. Any divergence aborts with a structured 409.
+stages the candidate artifact as a shadow on the model's primary
+(POST /v1/shadow), waits up to --reload-timeout-ms for --reload-window
+(or \"window\") live comparisons or a divergence, then pauses the model
+(new predicts block, none fail), drains in-flight requests (bounded by
+--drain-timeout-ms), and sends the primary POST /v1/promote, which
+installs the candidate in --models only on a clean window (else its
+structured 409 is relayed). Every worker is then refreshed and the
+model unpaused.
 
 Chaos: --worker-fault IDX:SPEC sets FAIRLENS_FAULT=SPEC on worker IDX's
 first incarnation only (respawns come back clean), e.g.

@@ -7,43 +7,23 @@
 //! reference server over the same artifacts — failover must be
 //! invisible at the correctness level, not just "mostly works".
 
+#[path = "../../serve/tests/common/mod.rs"]
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use fairlens_core::{baseline_approach, prediction_row, DataSchema, ModelArtifact};
+use common::{
+    export, export_on, launch, one_shot, predict_body, sample_rows, shutdown_and_join,
+    temp_models_dir, try_one_shot,
+};
 use fairlens_fleet::{Fleet, FleetConfig, SupervisorConfig};
-use fairlens_json::{object, parse, Value};
-use fairlens_serve::{http, ServeConfig, Server};
+use fairlens_json::{object, Value};
 use fairlens_synth::DatasetKind;
 
 // ---------------------------------------------------------------------------
 // Harness
-
-fn temp_models_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("flm-fleet-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Fit the LR baseline on German(300) and save it as `{id}.flm`.
-fn export(dir: &Path, id: &str, seed: u64) {
-    let data = DatasetKind::German.generate(300, seed);
-    let approach = baseline_approach();
-    let fitted = approach.fit(&data, seed).unwrap();
-    let artifact = ModelArtifact {
-        approach: approach.name.to_string(),
-        stage: approach.stage.label().to_string(),
-        dataset: "German".into(),
-        seed,
-        train_rows: data.n_rows() as u64,
-        train_metrics: vec![("accuracy".into(), 0.75)],
-        schema: DataSchema::of(&data),
-        pipeline: fitted.snapshot().unwrap(),
-    };
-    artifact.save(&dir.join(format!("{id}.flm"))).unwrap();
-}
 
 /// The `fairlens-serve` binary the fleet will spawn. Tests run from
 /// `target/<profile>/deps/<test-bin>`, so the serve binary lives two
@@ -108,46 +88,6 @@ fn wait_ready(addr: &str, timeout: Duration) {
     }
 }
 
-/// In-process single serve instance over the same artifacts — the
-/// bit-exactness reference.
-fn launch_reference(dir: &Path) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        models_dir: dir.to_path_buf(),
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(cfg).unwrap();
-    let addr = server.local_addr().to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-/// One-shot HTTP request on a fresh connection (`Err` = transport died,
-/// which the fleet front door must never let happen).
-fn try_one_shot(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, Value), String> {
-    let resp = http::one_shot(addr, method, path, body.as_bytes(), Duration::from_secs(30))
-        .map_err(|e| e.to_string())?;
-    let text = String::from_utf8(resp.body).map_err(|e| format!("utf8: {e}"))?;
-    Ok((resp.status, parse(&text).unwrap_or(Value::String(text))))
-}
-
-fn one_shot(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
-    try_one_shot(addr, method, path, body).unwrap()
-}
-
-/// Schema-shaped JSON rows from the first `n` rows of a German sample.
-fn sample_rows(n: usize, seed: u64) -> Vec<Value> {
-    let pool = DatasetKind::German.generate(64.max(n), seed);
-    (0..n).map(|r| prediction_row(&pool, r)).collect()
-}
-
-fn predict_body(model: &str, rows: &[Value]) -> String {
-    object([
-        ("model", Value::String(model.into())),
-        ("rows", Value::Array(rows.to_vec())),
-    ])
-    .to_json()
-}
-
 /// The scores array of a 200 predict response, serialized — the
 /// bit-exactness comparison key (seqs are worker-local and excluded).
 fn scores_of(v: &Value) -> String {
@@ -156,20 +96,14 @@ fn scores_of(v: &Value) -> String {
         .to_json()
 }
 
-fn shutdown_fleet(addr: &str, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-    let (status, _) = one_shot(addr, "POST", "/v1/shutdown", "");
-    assert_eq!(status, 200);
-    handle.join().unwrap().unwrap();
-}
-
 // ---------------------------------------------------------------------------
 // Tests
 
 #[test]
 fn routes_health_fleet_models_and_predicts() {
     let dir = temp_models_dir("routes");
-    export(&dir, "german-lr", 11);
-    export(&dir, "german-alt", 13);
+    export(&dir, "german-lr", "LR", 11);
+    export(&dir, "german-alt", "LR", 13);
     let (addr, handle) = launch_fleet(fast_cfg(&dir, 2, 2));
 
     let (status, v) = one_shot(&addr, "GET", "/healthz", "");
@@ -220,14 +154,14 @@ fn routes_health_fleet_models_and_predicts() {
     let text = text.as_str().unwrap_or_default();
     assert!(text.contains("fairlens_fleet_requests_total"), "fleet metrics render");
 
-    shutdown_fleet(&addr, handle);
+    shutdown_and_join(&addr, handle);
 }
 
 #[test]
 fn sigkill_primary_mid_stream_is_invisible_and_bit_exact() {
     let dir = temp_models_dir("failover");
-    export(&dir, "german-lr", 11);
-    let (ref_addr, ref_handle) = launch_reference(&dir);
+    export(&dir, "german-lr", "LR", 11);
+    let (ref_addr, ref_handle) = launch(&dir, |_| {});
     let (addr, handle) = launch_fleet(fast_cfg(&dir, 3, 2));
 
     // Aim: the primary replica's pid for the model under test.
@@ -302,16 +236,14 @@ fn sigkill_primary_mid_stream_is_invisible_and_bit_exact() {
     assert_eq!(status, 200);
     assert_eq!(scores_of(&vf), scores_of(&vr));
 
-    shutdown_fleet(&addr, handle);
-    let (status, _) = one_shot(&ref_addr, "POST", "/v1/shutdown", "");
-    assert_eq!(status, 200);
-    ref_handle.join().unwrap().unwrap();
+    shutdown_and_join(&addr, handle);
+    shutdown_and_join(&ref_addr, ref_handle);
 }
 
 #[test]
 fn abort_fault_respawns_clean_and_traffic_survives() {
     let dir = temp_models_dir("abort");
-    export(&dir, "german-lr", 11);
+    export(&dir, "german-lr", "LR", 11);
     let mut cfg = fast_cfg(&dir, 2, 2);
     // Worker 0 aborts on its 5th german-lr request — first incarnation
     // only; the respawn must come back without the fault.
@@ -328,17 +260,30 @@ fn abort_fault_respawns_clean_and_traffic_survives() {
     // If worker 0 was a replica it aborted and restarted; either way the
     // fleet must end the storm fully routable with zero failed requests.
     wait_ready(&addr, Duration::from_secs(20));
-    shutdown_fleet(&addr, handle);
+    shutdown_and_join(&addr, handle);
 }
 
 #[test]
 fn blue_green_reload_under_live_traffic_never_errors() {
     let dir = temp_models_dir("reload");
-    export(&dir, "german-lr", 11);
+    export(&dir, "german-lr", "LR", 11);
     // A byte-identical candidate: guaranteed zero divergence, which is
     // exactly what a clean cutover requires.
     let candidate = dir.join("candidate.flm");
     std::fs::copy(dir.join("german-lr.flm"), &candidate).unwrap();
+    // Candidates the reload must refuse: a differently seeded model that
+    // diverges from the incumbent, and one trained on another schema.
+    let cand_dir = temp_models_dir("reload-cand");
+    export(&cand_dir, "diverging", "LR", 12);
+    export_on(DatasetKind::Adult, &cand_dir, "adult", "LR", 11);
+    let reload_body = |artifact: &Path| {
+        object([
+            ("model", Value::String("german-lr".into())),
+            ("artifact", Value::String(artifact.to_string_lossy().into_owned())),
+            ("window", Value::Integer(8)),
+        ])
+        .to_json()
+    };
 
     let (addr, handle) = launch_fleet(fast_cfg(&dir, 2, 2));
 
@@ -363,16 +308,33 @@ fn blue_green_reload_under_live_traffic_never_errors() {
 
     // Give the feeder a head start so the shadow window has traffic.
     std::thread::sleep(Duration::from_millis(200));
-    let reload = object([
-        ("model", Value::String("german-lr".into())),
-        ("artifact", Value::String(candidate.to_string_lossy().into_owned())),
-        ("window", Value::Integer(8)),
-    ])
-    .to_json();
-    let (status, v) = one_shot(&addr, "POST", "/v1/reload", &reload);
+    let (status, v) = one_shot(&addr, "POST", "/v1/reload", &reload_body(&candidate));
     assert_eq!(status, 200, "reload failed: {}", v.to_json());
     assert_eq!(v.get("status").and_then(Value::as_str), Some("reloaded"));
     assert!(v.get("compared").cloned().unwrap().into_u64().unwrap() >= 8);
+
+    // A diverging candidate, with the feeder still running: the
+    // primary's registry refuses the promote with its 409, and the
+    // incumbent keeps answering with unchanged score bits.
+    let probe = predict_body("german-lr", &sample_rows(3, 4242));
+    let (status, v) = one_shot(&addr, "POST", "/v1/predict", &probe);
+    assert_eq!(status, 200, "{}", v.to_json());
+    let before = scores_of(&v);
+    let (status, v) =
+        one_shot(&addr, "POST", "/v1/reload", &reload_body(&cand_dir.join("diverging.flm")));
+    assert_eq!(status, 409, "diverging reload: {}", v.to_json());
+    let error = v.get("error").unwrap();
+    assert_eq!(error.get("kind").and_then(Value::as_str), Some("conflict"));
+    let msg = error.get("message").and_then(Value::as_str).unwrap();
+    assert!(msg.contains("first divergence at request"), "{msg}");
+    let (status, v) = one_shot(&addr, "POST", "/v1/predict", &probe);
+    assert_eq!(status, 200, "{}", v.to_json());
+    assert_eq!(scores_of(&v), before, "a refused reload changed the served scores");
+
+    // A candidate with another input schema is the primary's 400.
+    let (status, v) =
+        one_shot(&addr, "POST", "/v1/reload", &reload_body(&cand_dir.join("adult.flm")));
+    assert_eq!(status, 400, "wrong-schema reload: {}", v.to_json());
 
     // Traffic keeps flowing after the cutover, then the feeder reports.
     std::thread::sleep(Duration::from_millis(300));
@@ -394,5 +356,18 @@ fn blue_green_reload_under_live_traffic_never_errors() {
     );
     assert_eq!(status, 400);
 
-    shutdown_fleet(&addr, handle);
+    // Outcomes count by final status: one clean cutover, one 409, and
+    // the two 400s as failures.
+    let (_, text) = one_shot(&addr, "GET", "/metrics", "");
+    let text = text.as_str().unwrap_or_default();
+    for want in [
+        "fairlens_fleet_reloads_total{outcome=\"ok\"} 1",
+        "fairlens_fleet_reloads_total{outcome=\"rejected\"} 1",
+        "fairlens_fleet_reloads_total{outcome=\"failed\"} 2",
+    ] {
+        assert!(text.contains(want), "missing {want} in:\n{text}");
+    }
+
+    shutdown_and_join(&addr, handle);
+    let _ = std::fs::remove_dir_all(&cand_dir);
 }

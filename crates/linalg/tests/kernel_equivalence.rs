@@ -198,11 +198,11 @@ proptest! {
         let batch = m.matvec(&w);
         // Single-row scoring: a 1×cols matrix per row, as the per-request
         // serve path would do it.
-        for r in 0..rows {
+        for (r, want) in batch.iter().enumerate() {
             let single = Matrix::from_vec(1, cols, m.row(r).to_vec());
             let one = single.matvec(&w);
             prop_assert_eq!(
-                one[0].to_bits(), batch[r].to_bits(),
+                one[0].to_bits(), want.to_bits(),
                 "row {} of {}x{}", r, rows, cols
             );
         }

@@ -157,6 +157,10 @@ mod tests {
         let yp = [1, 0, 1, 0];
         let gs = [0, 0, 1, 1];
         let sc = [0.8, 0.3, 0.9, 0.1];
+        let offline_accuracy = ConfusionMatrix::from_predictions(&yt, &yp).accuracy();
+        assert_eq!(value(&m, "accuracy", "all"), Some(offline_accuracy));
+        let offline_tprb = tpr_balance(&yt, &yp, &gs);
+        assert_eq!(value(&m, "tprb_fair", "all"), Some(1.0 - offline_tprb.abs()));
         assert_eq!(value(&m, "cal_gap", "all"), Some(calibration_gap(&sc, &yt, &gs)));
         assert_eq!(
             value(&m, "cal_err", "0"),

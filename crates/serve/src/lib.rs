@@ -49,17 +49,18 @@
 //!   `fairlens_feedback_total`, and drift trace events).
 //! * [`server`] — the route fn on [`http::Server`]: admission control,
 //!   routing, per-response bookkeeping, graceful drain
-//!   (`POST /v1/shutdown`). `--shadow id=path`
-//!   scores every admitted request on both the incumbent and a candidate
-//!   artifact, answers from the incumbent, and counts divergences;
-//!   `POST /v1/promote` cuts the candidate over only when the comparison
-//!   window is clean (else a structured 409).
+//!   (`POST /v1/shutdown`). `POST /v1/shadow` stages a candidate
+//!   artifact: every admitted request is scored on both the incumbent
+//!   and the candidate, answered from the incumbent, and divergences are
+//!   counted; `POST /v1/promote` installs the candidate only when the
+//!   comparison window is clean (else a structured 409) — the one
+//!   cutover, which the fleet's blue/green reload also ends in.
 //!
 //! Routes: `POST /v1/predict`, `POST /v1/feedback`, `GET /v1/models`,
 //! `GET /healthz`, `GET /metrics`, `POST /v1/promote`,
-//! `POST /v1/shadow` (runtime shadow attach/detach), `POST /v1/refresh`
-//! (re-read an artifact from disk — the fleet's blue/green cutover
-//! hook), `POST /v1/shutdown`.
+//! `POST /v1/shadow` (shadow attach/detach), `POST /v1/refresh`
+//! (re-read an artifact from disk, which the fleet sends every worker
+//! after a promote), `POST /v1/shutdown`.
 //!
 //! One `fairlens-serve` process is one fault domain. The companion
 //! `fairlens-fleet` crate supervises several of them as worker shards

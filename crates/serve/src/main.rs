@@ -14,8 +14,8 @@ fairlens-serve [--addr HOST:PORT] [--models DIR] [--workers N]
                [--max-queue N] [--max-inflight N]
                [--breaker-threshold N] [--breaker-cooldown-ms MS]
                [--read-deadline-ms MS] [--max-conn-requests N]
-               [--shadow MODEL=CANDIDATE.flm]... [--shadow-tolerance ULPS]
-               [--record PATH] [--monitor-window ROWS] [--monitor-pending N]
+               [--shadow-tolerance ULPS] [--record PATH]
+               [--monitor-window ROWS] [--monitor-pending N]
                [--drift-threshold METRIC=DELTA]... [--drift-warn N]
                [--drift-alert N] [--drift-recover N] [--drift-min-labeled N]
                [--worker-id N]
@@ -35,13 +35,16 @@ re-closes it). --read-deadline-ms bounds how long a client may take to
 deliver one request (408 past it); --max-conn-requests closes a
 keep-alive connection after N requests (0 = unlimited).
 
-Cross-verified deployment: --shadow MODEL=PATH (repeatable) scores every
-admitted predict on both the incumbent MODEL and the candidate artifact
-at PATH; the response always comes from the incumbent, and score streams
-are compared bit-exactly (or within --shadow-tolerance ULPS), surfaced
-as fairlens_shadow_{compared,divergence}_total and in GET /v1/models.
-POST /v1/promote {\"model\": id} cuts the candidate over only when the
-comparison window is non-empty and clean (else a structured 409).
+Cross-verified deployment: POST /v1/shadow {\"model\", \"artifact\"}
+loads the candidate .flm at path \"artifact\" as the model's shadow (a
+candidate that cannot load or has another input schema is a 400);
+without \"artifact\" it detaches. Every admitted predict is then scored
+by both; the response always comes from the incumbent, and score
+streams are compared bit-exactly (or within --shadow-tolerance ULPS),
+surfaced as fairlens_shadow_{compared,divergence}_total and in
+GET /v1/models. POST /v1/promote {\"model\": id} installs the candidate
+as loaded at attach, only when the comparison window is non-empty and
+clean (else a structured 409).
 --record PATH appends every /v1/predict and /v1/feedback exchange as
 JSONL (request, response, score bits, timestamps last) for the loadgen's
 --replay mode.
@@ -64,10 +67,10 @@ fairlens_feedback_total.
 Fleet worker mode: --worker-id N tags this process as fleet shard N; the
 id is echoed in GET /healthz along with pid, in-flight count and
 draining status so the fairlens-fleet supervisor can probe it.
-POST /v1/shadow {\"model\", \"artifact\"?} attaches (or, without
-\"artifact\", detaches) a shadow candidate at runtime; POST /v1/refresh
-{\"model\"} re-reads the model's artifact from disk, evicting the
-resident executor — the fleet's blue/green staging and cutover hooks.
+The fleet's blue/green reload stages through POST /v1/shadow and
+installs through POST /v1/promote on the model's primary, then sends
+POST /v1/refresh {\"model\"} to every worker, which re-reads the
+model's artifact from disk and evicts the resident executor.
 
 Chaos: the FAIRLENS_FAULT env var injects deterministic faults, e.g.
 'panic:german-lr:1;flaky:3:german-lr' (kinds: panic:<model>:<k>,
@@ -124,14 +127,6 @@ fn main() {
                 cfg.max_conn_requests = parse_flag("--max-conn-requests", value);
             }
             "--trace" => cfg.trace = Some(parse_flag::<PathBuf>("--trace", value)),
-            "--shadow" => {
-                let spec: String = parse_flag("--shadow", value);
-                let Some((model, path)) = spec.split_once('=') else {
-                    eprintln!("--shadow wants MODEL=CANDIDATE.flm, got {spec:?}\n{USAGE}");
-                    exit(2);
-                };
-                cfg.shadow.push((model.to_string(), PathBuf::from(path)));
-            }
             "--shadow-tolerance" => {
                 cfg.shadow_tolerance = Some(parse_flag("--shadow-tolerance", value));
             }

@@ -27,10 +27,11 @@
 //!   corrupt file does not heal), and each entry counts once in
 //!   `fairlens_model_load_failures_total`.
 //! * **Shadow deployments.** A candidate artifact can be attached to an
-//!   incumbent model (`--shadow id=path`); every admitted predict is then
+//!   incumbent model (`POST /v1/shadow`); every admitted predict is then
 //!   scored by both, the response comes from the incumbent, and the
 //!   score streams are compared bit-exactly (or within a ULP bound).
-//!   [`Registry::promote`] cuts the candidate over the incumbent's
+//!   [`Registry::promote`] is the only code that commits a cutover: it
+//!   installs the candidate the shadow verified over the incumbent's
 //!   artifact only when the comparison window is non-empty and clean —
 //!   a dirty or empty window is a structured 409.
 
@@ -140,6 +141,10 @@ pub struct ShadowSummary {
 
 struct ShadowState {
     path: PathBuf,
+    /// The candidate as parsed and verified at attach: what promote
+    /// installs, whatever happens to the file at `path` afterwards.
+    artifact: ModelArtifact,
+    stochastic: bool,
     worker: Arc<ModelWorker>,
     compared: u64,
     diverged: u64,
@@ -148,9 +153,8 @@ struct ShadowState {
 
 /// The server's model catalogue and supervisor.
 pub struct Registry {
-    /// Mutexed (and `Arc`-valued) so [`Registry::promote`] can swap an
-    /// entry for the freshly cut-over artifact while handlers hold the
-    /// old metadata.
+    /// Mutexed (and `Arc`-valued) so a cutover can swap an entry for the
+    /// freshly installed artifact while handlers hold the old metadata.
     infos: Mutex<BTreeMap<String, Arc<ModelInfo>>>,
     /// id → reason, for artifacts that failed to load or restore.
     quarantined: Mutex<BTreeMap<String, String>>,
@@ -447,10 +451,10 @@ impl Registry {
     /// load, restore, and carry the incumbent's exact input schema (a
     /// shadow that cannot score the same requests is a config error, not
     /// a divergence). The candidate gets its own executor immediately —
-    /// a broken artifact fails startup, not the first live comparison.
+    /// a broken artifact fails the attach, not the first live comparison.
     pub fn attach_shadow(&self, id: &str, path: &Path) -> Result<(), String> {
         let info = self.info(id).ok_or_else(|| format!("no incumbent model {id:?}"))?;
-        let (artifact, _) = load_artifact(path)
+        let (artifact, stochastic) = load_artifact(path)
             .map_err(|e| format!("candidate {} failed to load: {e}", path.display()))?;
         if artifact.schema != info.schema {
             return Err(format!(
@@ -458,11 +462,10 @@ impl Registry {
                 path.display()
             ));
         }
-        let pipeline = artifact.restore();
         let worker = Arc::new(ModelWorker::spawn(
             &format!("{id}#shadow"),
             artifact.schema.clone(),
-            pipeline,
+            artifact.restore(),
             self.cfg,
             self.metrics.clone(),
             self.faults.clone(),
@@ -471,6 +474,8 @@ impl Registry {
             id.to_string(),
             ShadowState {
                 path: path.to_path_buf(),
+                artifact,
+                stochastic,
                 worker,
                 compared: 0,
                 diverged: 0,
@@ -531,12 +536,13 @@ impl Registry {
     /// when no shadow is attached and a structured 409 when the
     /// comparison window is empty (nothing proven) or dirty (divergence
     /// observed — the refusal names the first differing request and both
-    /// score bit patterns). On success the candidate's bytes replace the
-    /// incumbent's artifact (write-then-rename), the catalogue entry is
-    /// refreshed from the promoted file, the incumbent's resident
-    /// executor is evicted so the next request restores the promoted
-    /// pipeline, and the shadow is detached. Returns the size of the
-    /// clean comparison window.
+    /// score bit patterns). On success the artifact the shadow verified
+    /// at attach (not whatever now sits at the candidate path) is saved
+    /// over the incumbent's file, and the shared install step swaps the
+    /// catalogue entry (built in memory, not re-read from disk), evicts
+    /// the resident executor so the next request restores the promoted
+    /// pipeline, and detaches the shadow. Returns the size of the clean
+    /// comparison window.
     pub fn promote(&self, id: &str) -> Result<u64, ServeError> {
         let info = self.info(id).ok_or_else(|| {
             ServeError::new(ErrorKind::UnknownModel, format!("no model {id:?}"))
@@ -569,32 +575,20 @@ impl Registry {
                 ),
             ));
         }
-        let internal =
-            |msg: String| ServeError::new(ErrorKind::Internal, msg);
-        let bytes = std::fs::read(&state.path).map_err(|e| {
-            internal(format!("cannot read candidate {}: {e}", state.path.display()))
+        state.artifact.save(&info.path).map_err(|e| {
+            ServeError::new(
+                ErrorKind::Internal,
+                format!("cutover to {} failed: {e}", info.path.display()),
+            )
         })?;
-        // Write-then-rename so a crash mid-cutover never leaves a
-        // half-written incumbent artifact.
-        let tmp = info.path.with_extension("flm.tmp");
-        std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, &info.path))
-            .map_err(|e| internal(format!("cutover to {} failed: {e}", info.path.display())))?;
-        let (artifact, stochastic) = load_artifact(&info.path).map_err(|e| {
-            internal(format!("promoted artifact failed to re-load: {e}"))
-        })?;
-        self.infos.lock().unwrap().insert(
-            id.to_string(),
-            Arc::new(info_from(id.to_string(), info.path.clone(), artifact, stochastic)),
-        );
-        {
-            let mut lru = self.loaded.lock().unwrap();
-            lru.map.remove(id);
-            self.metrics.set_models_loaded(lru.map.len());
-            self.metrics.set_queue_depth(id, 0);
-        }
         let compared = state.compared;
-        shadows.remove(id);
+        let promoted = info_from(
+            id.to_string(),
+            info.path.clone(),
+            state.artifact.clone(),
+            state.stochastic,
+        );
+        self.install(&mut shadows, promoted);
         eprintln!(
             "[serve] promoted shadow candidate for model {id:?} \
              after {compared} clean comparison(s)"
@@ -614,16 +608,14 @@ impl Registry {
         self.loaded.lock().unwrap().map.len()
     }
 
-    /// Re-read `id`'s artifact from disk: refresh the catalogue entry,
-    /// evict any resident executor (the next admitted request restores
-    /// the new pipeline), detach any attached shadow, and clear the id's
-    /// quarantine entry — a refresh is an explicit operator assertion
-    /// that the file was replaced, the one case where quarantine may
-    /// heal without a restart. This is the fleet's blue/green cutover
-    /// hook: the fleet swaps the artifact file in the shared models
-    /// directory, then refreshes every replica. Ids never seen before
-    /// resolve to `{dir}/{id}.flm`, so a refresh can also introduce a
-    /// model dropped into the directory after startup.
+    /// Re-read `id`'s artifact from disk and install it the way promote
+    /// does — a refresh is an explicit operator assertion that the file
+    /// was replaced, the one case where quarantine may heal without a
+    /// restart. After the fleet's primary promotes a candidate into the
+    /// shared models directory, the fleet refreshes every worker with
+    /// this. Ids never seen before resolve to `{dir}/{id}.flm`, so a
+    /// refresh can also introduce a model dropped into the directory
+    /// after startup.
     pub fn refresh(&self, id: &str) -> Result<(), ServeError> {
         let path = self
             .info(id)
@@ -641,20 +633,28 @@ impl Registry {
             )
             .with_retry_after(QUARANTINE_RETRY_AFTER)
         })?;
-        self.quarantined.lock().unwrap().remove(id);
-        self.infos.lock().unwrap().insert(
-            id.to_string(),
-            Arc::new(info_from(id.to_string(), path, artifact, stochastic)),
-        );
-        {
-            let mut lru = self.loaded.lock().unwrap();
-            lru.map.remove(id);
-            self.metrics.set_models_loaded(lru.map.len());
-            self.metrics.set_queue_depth(id, 0);
-        }
-        self.shadows.lock().unwrap().remove(id);
+        let refreshed = info_from(id.to_string(), path, artifact, stochastic);
+        self.install(&mut self.shadows.lock().unwrap(), refreshed);
         eprintln!("[serve] refreshed model {id:?} from disk");
         Ok(())
+    }
+
+    /// The tail of every cutover: make `info` the catalogue entry, clear
+    /// the id's quarantine, evict its resident executor (the next
+    /// admitted request restores the new pipeline) and detach its
+    /// shadow. `shadows` is the caller's guard, so promote's window
+    /// check and the detach happen under one lock.
+    fn install(&self, shadows: &mut BTreeMap<String, ShadowState>, info: ModelInfo) {
+        let id = info.id.clone();
+        self.quarantined.lock().unwrap().remove(&id);
+        self.infos.lock().unwrap().insert(id.clone(), Arc::new(info));
+        {
+            let mut lru = self.loaded.lock().unwrap();
+            lru.map.remove(&id);
+            self.metrics.set_models_loaded(lru.map.len());
+            self.metrics.set_queue_depth(&id, 0);
+        }
+        shadows.remove(&id);
     }
 
     /// Unload everything, joining all executors (shadows included).
@@ -705,20 +705,19 @@ mod tests {
     use fairlens_synth::DatasetKind;
     use std::time::Instant;
 
+    fn export_kind(dir: &Path, id: &str, kind: DatasetKind, seed: u64) {
+        let data = kind.generate(200, seed);
+        let approach = baseline_approach();
+        let fitted = approach.fit(&data, seed).unwrap();
+        let metrics = vec![("accuracy".into(), 0.5)];
+        ModelArtifact::new(&approach, kind.name(), &data, &fitted, seed, metrics)
+            .unwrap()
+            .save(&dir.join(format!("{id}.flm")))
+            .unwrap();
+    }
+
     fn export(dir: &Path, id: &str, seed: u64) {
-        let data = DatasetKind::German.generate(200, seed);
-        let fitted = baseline_approach().fit(&data, seed).unwrap();
-        let artifact = ModelArtifact {
-            approach: "LR".into(),
-            stage: "baseline".into(),
-            dataset: "German".into(),
-            seed,
-            train_rows: data.n_rows() as u64,
-            train_metrics: vec![("accuracy".into(), 0.5)],
-            schema: DataSchema::of(&data),
-            pipeline: fitted.snapshot().unwrap(),
-        };
-        artifact.save(&dir.join(format!("{id}.flm"))).unwrap();
+        export_kind(dir, id, DatasetKind::German, seed);
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -888,19 +887,7 @@ mod tests {
             .attach_shadow("m", &dir.join("nope.flm"))
             .is_err_and(|e| e.contains("failed to load")));
         // A candidate trained on a different input schema cannot shadow.
-        let other = DatasetKind::Adult.generate(200, 1);
-        let fitted = baseline_approach().fit(&other, 1).unwrap();
-        let artifact = ModelArtifact {
-            approach: "LR".into(),
-            stage: "baseline".into(),
-            dataset: "Adult".into(),
-            seed: 1,
-            train_rows: other.n_rows() as u64,
-            train_metrics: vec![],
-            schema: DataSchema::of(&other),
-            pipeline: fitted.snapshot().unwrap(),
-        };
-        artifact.save(&dir.join("other.flm")).unwrap();
+        export_kind(&dir, "other", DatasetKind::Adult, 1);
         assert!(reg
             .attach_shadow("m", &dir.join("other.flm"))
             .is_err_and(|e| e.contains("schema")));

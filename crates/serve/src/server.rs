@@ -90,11 +90,8 @@ pub struct ServeConfig {
     /// Write per-request trace tracks (`req/NNNNNN`) here at drain; a
     /// flamegraph-ready `.collapsed` sibling rides along.
     pub trace: Option<PathBuf>,
-    /// Shadow deployments: incumbent model id → candidate artifact path.
-    /// Every admitted predict is scored by both; the response comes from
-    /// the incumbent and the score streams are compared.
-    pub shadow: Vec<(String, PathBuf)>,
-    /// ULP bound for shadow score comparison (`None` = bit-exact).
+    /// ULP bound for comparing every shadow attached through
+    /// `POST /v1/shadow` (`None` = bit-exact).
     pub shadow_tolerance: Option<u64>,
     /// Append every `/v1/predict` and `/v1/feedback` exchange to this
     /// JSONL log.
@@ -138,7 +135,6 @@ impl Default for ServeConfig {
             faults: Arc::new(ServeFaults::none()),
             limits: Limits::default(),
             trace: None,
-            shadow: Vec::new(),
             shadow_tolerance: None,
             record: None,
             monitor_window: 256,
@@ -228,18 +224,6 @@ impl Server {
             cfg.faults.clone(),
         )?;
         registry.set_shadow_tolerance(cfg.shadow_tolerance);
-        // Shadows attach before the listener binds: a candidate that
-        // cannot load or has the wrong schema fails startup, not the
-        // first live comparison.
-        for (id, path) in &cfg.shadow {
-            registry.attach_shadow(id, path).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("--shadow {id}: {e}"),
-                )
-            })?;
-            eprintln!("[serve] shadowing model {id:?} with candidate {}", path.display());
-        }
         let recorder = match &cfg.record {
             Some(path) => {
                 eprintln!("[serve] recording predict exchanges to {}", path.display());
@@ -779,10 +763,11 @@ fn feedback(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     ])))
 }
 
-/// `POST /v1/promote`: `{"model": id}` — cut the model's shadow
+/// `POST /v1/promote`: `{"model": id}` — install the model's shadow
 /// candidate over the incumbent artifact, provided the comparison window
 /// is non-empty and divergence-free (else a structured 409 naming the
-/// first differing request and score bits).
+/// first differing request and score bits). The only cutover: the
+/// fleet's blue/green reload ends here too.
 fn promote(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     let v = req.json()?;
     let model_id = str_field(&v, "model")?;
@@ -794,12 +779,13 @@ fn promote(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     ])))
 }
 
-/// `POST /v1/shadow`: runtime shadow control, the fleet's blue/green
-/// staging hook. `{"model": id, "artifact": path}` attaches the artifact
-/// at `path` as the model's shadow candidate (replacing any existing
-/// one); `{"model": id}` detaches whatever is attached without
-/// promoting — the reload abort path. Detaching with nothing attached is
-/// an idempotent no-op so an abort can always run it.
+/// `POST /v1/shadow`: the one way to stage a candidate, for operators
+/// and the fleet's blue/green reload alike. `{"model": id, "artifact":
+/// path}` attaches the artifact at `path` as the model's shadow
+/// candidate (replacing any existing one); `{"model": id}` detaches
+/// whatever is attached without promoting — the reload abort path.
+/// Detaching with nothing attached is an idempotent no-op so an abort
+/// can always run it.
 fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     let v = req.json()?;
     let model_id = str_field(&v, "model")?;
@@ -838,9 +824,9 @@ fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
 /// `POST /v1/refresh`: `{"model": id}` — re-read the model's artifact
 /// from disk, evict any resident executor (the next admitted request
 /// restores the new pipeline), drop any attached shadow, and clear the
-/// id's quarantine entry. This is the fleet's blue/green cutover hook:
-/// the fleet swaps the artifact file, then refreshes every replica so no
-/// worker keeps answering from the old version.
+/// id's quarantine entry. After the fleet's primary promotes a candidate
+/// into the shared models directory, the fleet refreshes every worker
+/// so none keeps answering from the old version.
 fn refresh(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     let v = req.json()?;
     let model_id = str_field(&v, "model")?;

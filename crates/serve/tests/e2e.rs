@@ -1,68 +1,24 @@
 //! End-to-end tests: a real server on an ephemeral port, a real client
 //! over TCP, and byte-identical agreement with offline prediction.
 
+mod common;
+
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
-use std::sync::Arc;
-
-use fairlens_core::{
-    all_approaches, baseline_approach, prediction_row, DataSchema, FittedPipeline, ModelArtifact,
+use common::{
+    export, launch, one_shot, parse_body, predict_body, sample_rows, shutdown_and_join,
+    temp_models_dir,
 };
+use fairlens_core::ModelArtifact;
 use fairlens_json::{object, parse, Value};
 use fairlens_serve::http::Conn;
-use fairlens_serve::{ServeConfig, ServeFaults, Server};
-use fairlens_synth::DatasetKind;
+use fairlens_serve::ServeFaults;
 
 // ---------------------------------------------------------------------------
 // Harness
-
-fn temp_models_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("flm-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Fit `approach_name` on German(300) and save it as `{id}.flm`,
-/// returning the fitted pipeline for offline comparison.
-fn export(dir: &Path, id: &str, approach_name: &str, seed: u64) -> (FittedPipeline, DataSchema) {
-    let data = DatasetKind::German.generate(300, seed);
-    let approach = std::iter::once(baseline_approach())
-        .chain(all_approaches(DatasetKind::German.salimi_inadmissible()))
-        .find(|a| a.name == approach_name)
-        .unwrap_or_else(|| panic!("no approach {approach_name:?}"));
-    let fitted = approach.fit(&data, seed).unwrap();
-    let schema = DataSchema::of(&data);
-    let artifact = ModelArtifact {
-        approach: approach.name.to_string(),
-        stage: approach.stage.label().to_string(),
-        dataset: "German".into(),
-        seed,
-        train_rows: data.n_rows() as u64,
-        train_metrics: vec![("accuracy".into(), 0.75)],
-        schema: schema.clone(),
-        pipeline: fitted.snapshot().unwrap(),
-    };
-    artifact.save(&dir.join(format!("{id}.flm"))).unwrap();
-    (fitted, schema)
-}
-
-/// Launch a server on an ephemeral port; returns its address and the
-/// thread running `Server::run`.
-fn launch(dir: &Path, tweak: impl FnOnce(&mut ServeConfig)) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let mut cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        models_dir: dir.to_path_buf(),
-        ..ServeConfig::default()
-    };
-    tweak(&mut cfg);
-    let server = Server::bind(cfg).unwrap();
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run());
-    (addr, handle)
-}
 
 /// Keep-alive test client over the crate's own strict [`Conn`].
 struct Client(Conn);
@@ -94,7 +50,7 @@ impl Client {
     fn read_response_full(&mut self) -> (u16, Value, RespMeta) {
         let (resp, close) = self.0.read_response().unwrap();
         let meta = RespMeta { retry_after: resp.retry_after, close };
-        (resp.status, parse_body(String::from_utf8(resp.body).unwrap()), meta)
+        (resp.status, parse_body(resp.body), meta)
     }
 }
 
@@ -104,43 +60,20 @@ struct RespMeta {
     close: bool,
 }
 
-fn parse_body(body: String) -> Value {
-    if body.trim_start().starts_with('{') {
-        parse(&body).unwrap_or(Value::Null)
-    } else {
-        Value::String(body)
-    }
-}
-
 fn error_kind(v: &Value) -> Option<String> {
     v.get("error").and_then(|e| e.get("kind")).and_then(Value::as_str).map(str::to_string)
 }
 
-fn one_shot(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
-    Client::open(addr).request(method, path, body)
-}
-
-/// Schema-shaped JSON rows from the first `n` rows of a German sample.
-fn sample_rows(n: usize, seed: u64) -> Vec<Value> {
-    let pool = DatasetKind::German.generate(64.max(n), seed);
-    (0..n).map(|r| prediction_row(&pool, r)).collect()
-}
-
-fn predict_body(model: &str, rows: &[Value]) -> String {
-    object([
+/// Stage `candidate` as `model`'s shadow through `POST /v1/shadow`.
+fn attach_shadow(addr: &str, model: &str, candidate: &Path) {
+    let body = object([
         ("model", Value::String(model.into())),
-        ("rows", Value::Array(rows.to_vec())),
+        ("artifact", Value::String(candidate.to_string_lossy().into_owned())),
     ])
-    .to_json()
-}
-
-fn shutdown_and_join(
-    addr: &str,
-    handle: std::thread::JoinHandle<std::io::Result<()>>,
-) {
-    let (status, _) = one_shot(addr, "POST", "/v1/shutdown", "");
-    assert_eq!(status, 200);
-    handle.join().unwrap().unwrap();
+    .to_json();
+    let (status, v) = one_shot(addr, "POST", "/v1/shadow", &body);
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("shadowing"));
 }
 
 // ---------------------------------------------------------------------------
@@ -574,10 +507,8 @@ fn shadow_with_identical_candidate_stays_clean_and_promotes() {
     let candidate = cand_dir.join("candidate.flm");
     std::fs::copy(dir.join("german-lr.flm"), &candidate).unwrap();
     let record = cand_dir.join("recorded.jsonl");
-    let (addr, handle) = launch(&dir, |cfg| {
-        cfg.shadow = vec![("german-lr".into(), candidate.clone())];
-        cfg.record = Some(record.clone());
-    });
+    let (addr, handle) = launch(&dir, |cfg| cfg.record = Some(record.clone()));
+    attach_shadow(&addr, "german-lr", &candidate);
 
     // Drive a few requests: answers still come from (and bit-match) the
     // incumbent, while the shadow compares in the background.
@@ -607,6 +538,11 @@ fn shadow_with_identical_candidate_stays_clean_and_promotes() {
     assert!(text.contains("fairlens_shadow_compared_total{model=\"german-lr\"} 3"), "{text}");
     assert!(text.contains("fairlens_shadow_divergence_total{model=\"german-lr\"} 0"), "{text}");
 
+    // Replace the candidate file with a differently seeded model after
+    // its clean window: promote must install the artifact the shadow
+    // verified, never these untested bytes.
+    export(&cand_dir, "candidate", "LR", 82);
+
     // Clean window → promote succeeds and the shadow detaches.
     let (status, v) = client.request("POST", "/v1/promote", "{\"model\": \"german-lr\"}");
     assert_eq!(status, 200, "{v:?}");
@@ -619,7 +555,8 @@ fn shadow_with_identical_candidate_stays_clean_and_promotes() {
     let (status, v) = client.request("POST", "/v1/promote", "{\"model\": \"german-lr\"}");
     assert_eq!(status, 400, "{v:?}");
 
-    // The promoted artifact still serves bit-exactly.
+    // The promoted artifact still serves bit-exactly against the
+    // verified candidate.
     let rows = sample_rows(2, 94);
     let offline = schema.dataset_from_rows(&rows).unwrap();
     let want = fitted.predict_proba(&offline);
@@ -669,9 +606,8 @@ fn shadow_divergence_increments_counters_and_blocks_promote() {
     };
     *w = f64::from_bits(w.to_bits() ^ (1 << 8));
     artifact.save(&candidate).unwrap();
-    let (addr, handle) = launch(&dir, |cfg| {
-        cfg.shadow = vec![("german-lr".into(), candidate.clone())];
-    });
+    let (addr, handle) = launch(&dir, |_| {});
+    attach_shadow(&addr, "german-lr", &candidate);
 
     // The response still comes from — and bit-matches — the incumbent;
     // the flipped candidate only dirties the comparison window.
@@ -729,9 +665,8 @@ fn promote_without_traffic_is_a_409_and_unknown_model_a_404() {
     let cand_dir = temp_models_dir("promote-empty-cand");
     let candidate = cand_dir.join("candidate.flm");
     std::fs::copy(dir.join("german-lr.flm"), &candidate).unwrap();
-    let (addr, handle) = launch(&dir, |cfg| {
-        cfg.shadow = vec![("german-lr".into(), candidate.clone())];
-    });
+    let (addr, handle) = launch(&dir, |_| {});
+    attach_shadow(&addr, "german-lr", &candidate);
 
     // An empty comparison window has proven nothing → 409.
     let (status, v) = one_shot(&addr, "POST", "/v1/promote", "{\"model\": \"german-lr\"}");

@@ -36,16 +36,8 @@ fn round_trip(name: &str, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<u8>, Vec<u8>) {
         .join(format!("flm-snap-{}-{}", seed, std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{}.flm", name.replace(['^', '(', ')', '.'], "-")));
-    let artifact = ModelArtifact {
-        approach: approach.name.to_string(),
-        stage: approach.stage.label().to_string(),
-        dataset: "German".into(),
-        seed,
-        train_rows: train.n_rows() as u64,
-        train_metrics: vec![],
-        schema: fairlens_core::DataSchema::of(&train),
-        pipeline: fitted.snapshot().unwrap(),
-    };
+    let artifact =
+        ModelArtifact::new(&approach, "German", &train, &fitted, seed, vec![]).unwrap();
     artifact.save(&path).unwrap();
     let restored = ModelArtifact::load(&path).unwrap().restore();
     let _ = std::fs::remove_dir_all(&dir);

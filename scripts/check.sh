@@ -17,8 +17,8 @@ cargo test -q
 echo "==> cargo test -q -p fairlens-serve -p fairlens-fleet"
 cargo test -q -p fairlens-serve -p fairlens-fleet
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The end-to-end benchmark builds the program from source as path
 # dependencies: a refactor that breaks its imports must fail here.
@@ -257,16 +257,16 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     echo "    ok: clean suite agrees, injected perturbation pinpointed"
 
     echo "==> shadow & replay smoke (record, clean window, promote, replay, dirty 409)"
-    # A byte-identical shadow candidate must produce a clean comparison
-    # window (promote succeeds); a recorded run must replay bit-exactly
-    # against the promoted server; a bit-flipped candidate must drive the
-    # divergence counter and turn promote into a structured 409.
+    # A byte-identical shadow candidate, staged after boot through
+    # POST /v1/shadow, must produce a clean comparison window (promote
+    # succeeds); a recorded run must replay bit-exactly against the
+    # promoted server; a bit-flipped candidate must drive the divergence
+    # counter and turn promote into a structured 409.
     cp "$models_dir/german-lr.flm" "$smoke_out/candidate.flm"
     recording="$smoke_out/predict.rec.jsonl"
     shadow_log="$smoke_out/shadow-serve.log"
     cargo run --release -p fairlens-serve -- \
         --addr 127.0.0.1:0 --models "$models_dir" \
-        --shadow german-lr="$smoke_out/candidate.flm" \
         --record "$recording" 2> "$shadow_log" &
     shadow_pid=$!
     addr=""
@@ -277,6 +277,15 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     done
     if [[ -z "$addr" ]]; then
         echo "shadow smoke FAILED: server never announced its address" >&2
+        kill "$shadow_pid" 2>/dev/null || true
+        exit 1
+    fi
+    attach_code="$(curl -s -o "$smoke_out/shadow-attach.json" -w '%{http_code}' \
+        -X POST "http://$addr/v1/shadow" \
+        -d "{\"model\": \"german-lr\", \"artifact\": \"$smoke_out/candidate.flm\"}")"
+    if [[ "$attach_code" != "200" ]]; then
+        echo "shadow smoke FAILED: attach got HTTP $attach_code:" >&2
+        cat "$smoke_out/shadow-attach.json" >&2
         kill "$shadow_pid" 2>/dev/null || true
         exit 1
     fi
@@ -333,8 +342,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
         "$models_dir/german-lr.flm" "$smoke_out/flipped.flm" 2>/dev/null
     dirty_log="$smoke_out/dirty-serve.log"
     cargo run --release -p fairlens-serve -- \
-        --addr 127.0.0.1:0 --models "$models_dir" \
-        --shadow german-lr="$smoke_out/flipped.flm" 2> "$dirty_log" &
+        --addr 127.0.0.1:0 --models "$models_dir" 2> "$dirty_log" &
     dirty_pid=$!
     addr=""
     for _ in $(seq 1 300); do
@@ -344,6 +352,15 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     done
     if [[ -z "$addr" ]]; then
         echo "shadow smoke FAILED: dirty server never announced its address" >&2
+        kill "$dirty_pid" 2>/dev/null || true
+        exit 1
+    fi
+    attach_code="$(curl -s -o "$smoke_out/dirty-attach.json" -w '%{http_code}' \
+        -X POST "http://$addr/v1/shadow" \
+        -d "{\"model\": \"german-lr\", \"artifact\": \"$smoke_out/flipped.flm\"}")"
+    if [[ "$attach_code" != "200" ]]; then
+        echo "shadow smoke FAILED: dirty attach got HTTP $attach_code:" >&2
+        cat "$smoke_out/dirty-attach.json" >&2
         kill "$dirty_pid" 2>/dev/null || true
         exit 1
     fi
