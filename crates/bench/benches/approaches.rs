@@ -16,7 +16,7 @@ fn bench_fit(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("baseline", "LR"), |b| {
         b.iter(|| baseline_approach().fit(&train, 1).unwrap())
     });
-    for approach in all_approaches(kind.inadmissible_attrs()) {
+    for approach in all_approaches(kind.salimi_inadmissible()) {
         // Zafar^EO is the one multi-second fit; keep the bench suite fast by
         // capping it out of the default run (it is exercised by fig11).
         if approach.name == "Zafar^EO_Fair" {

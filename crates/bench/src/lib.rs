@@ -49,7 +49,7 @@ pub use fairlens_json as json;
 
 pub use cli::CommonArgs;
 pub use record::{
-    failures_path, read_failures, read_failures_lossy, read_jsonl, read_jsonl_lossy, write_jsonl,
+    failures_path, read_failures, read_failures_lossy, read_jsonl, read_jsonl_lossy,
     write_jsonl_atomic, RunRecord, METRIC_KEYS,
 };
 pub use runner::{CellFailure, FailureKind, RunBatch, RunPolicy, Runner};

@@ -23,7 +23,6 @@
 //! the record-specific field layout and file handling.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::Path;
 
 use fairlens_core::write_lines_atomic;
@@ -332,21 +331,6 @@ fn push_str_field(s: &mut String, key: &str, value: &str) {
     escape_into(s, value);
 }
 
-/// Write records as JSON-lines, creating parent directories as needed.
-pub fn write_jsonl(path: &Path, records: &[RunRecord]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let file = std::fs::File::create(path)?;
-    let mut w = std::io::BufWriter::new(file);
-    for r in records {
-        writeln!(w, "{}", r.to_json())?;
-    }
-    w.flush()
-}
-
 /// Read a JSON-lines result file back into records (blank lines skipped).
 pub fn read_jsonl(path: &Path) -> Result<Vec<RunRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -530,7 +514,7 @@ mod tests {
             r.metrics = None;
             r
         }];
-        write_jsonl(&path, &records).unwrap();
+        write_jsonl_atomic(&path, &records).unwrap();
         let back = read_jsonl(&path).unwrap();
         assert_eq!(back, records);
         std::fs::remove_dir_all(&dir).ok();
@@ -616,16 +600,15 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_matches_plain_write() {
+    fn atomic_write_is_one_json_line_per_record() {
         let dir = std::env::temp_dir().join("fairlens_atomic_test");
-        let plain = dir.join("plain.jsonl");
         let atomic = dir.join("atomic.jsonl");
-        let records = vec![sample()];
-        write_jsonl(&plain, &records).unwrap();
+        let records = vec![sample(), sample()];
         write_jsonl_atomic(&atomic, &records).unwrap();
+        let line = sample().to_json();
         assert_eq!(
-            std::fs::read_to_string(&plain).unwrap(),
-            std::fs::read_to_string(&atomic).unwrap()
+            std::fs::read_to_string(&atomic).unwrap(),
+            format!("{line}\n{line}\n")
         );
         assert!(!dir.join("atomic.jsonl.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();

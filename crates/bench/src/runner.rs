@@ -219,10 +219,10 @@ pub struct RunBatch {
 }
 
 impl RunBatch {
-    /// Serialise the records to a JSON-lines file (see
-    /// [`crate::record::write_jsonl`]).
+    /// Atomically write the records to a JSON-lines file (see
+    /// [`write_jsonl_atomic`]).
     pub fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        crate::record::write_jsonl(path.as_ref(), &self.records)
+        write_jsonl_atomic(path.as_ref(), &self.records)
     }
 
     /// Records for one dataset, in cell order.

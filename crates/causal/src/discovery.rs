@@ -66,9 +66,10 @@ pub fn discover_dag(data: &CausalData, order: &[usize], opts: &DiscoveryOptions)
         // PC-style edge removal: a candidate parent p is dropped as soon
         // as *any* conditioning subset of the remaining candidates (size
         // ≤ max_condition) renders it independent of v — the IC/PC
-        // separating-set criterion. The subset enumeration is what makes
-        // constraint-based discovery expensive, and is the dominant cost
-        // of the Zha-Wu pipeline (as TETRAD is in the paper).
+        // separating-set criterion. The subset enumeration sets the number
+        // of tests (about 1 900–2 700 per Credit 4 000×14 draw); each test
+        // counts the rows one column at a time, so discovery costs about
+        // tests × rows × (|z| + 2).
         let mut changed = true;
         while changed {
             changed = false;

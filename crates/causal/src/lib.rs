@@ -9,8 +9,10 @@
 //! 1. [`CausalData`] packages a discretised dataset (attributes + `S` + `Y`)
 //!    as integer-coded variables;
 //! 2. [`independence::chi2_ci_test`] runs χ² conditional-independence tests
-//!    (p-values from a from-scratch regularised incomplete gamma in
-//!    [`gamma`]);
+//!    as a column-at-a-time group-by into a dense `(Z-stratum, a, b)` count
+//!    cube, summed in ascending stratum order so that every test has one
+//!    fixed result (p-values from a from-scratch regularised incomplete
+//!    gamma in [`gamma`]);
 //! 3. [`discovery::discover_dag`] prunes a parent set per variable under a
 //!    causal order (the standard "knowledge tiers" assumption used when the
 //!    paper runs TETRAD: `S` first, attributes next, `Y` last);

@@ -28,7 +28,7 @@
 //! attributes strata shrink towards singletons and instances become trivial
 //! (fast) — the inverse scaling the paper highlights in Fig. 11(d).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fairlens_frame::{Dataset, DiscreteView, Discretizer};
 use fairlens_linalg::Matrix;
@@ -209,8 +209,10 @@ impl Preprocessor for Salimi {
             )));
         }
 
-        // Group rows into A-strata.
-        let mut strata: HashMap<u64, Stratum> = HashMap::new();
+        // Group rows into A-strata, kept in ascending key order: every
+        // stratum's repair draws from the one `rng`, so the order in which
+        // they are visited decides which rows are deleted or donated.
+        let mut strata: BTreeMap<u64, Stratum> = BTreeMap::new();
         for r in 0..train.n_rows() {
             let key = view.stratum_key(r, &adm_idx);
             let st = strata.entry(key).or_insert_with(|| Stratum {

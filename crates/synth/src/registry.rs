@@ -88,11 +88,6 @@ impl DatasetKind {
             DatasetKind::Credit => &["marriage"],
         }
     }
-
-    /// Alias for [`Self::salimi_inadmissible`], kept for existing callers.
-    pub fn inadmissible_attrs(self) -> &'static [&'static str] {
-        self.salimi_inadmissible()
-    }
 }
 
 #[cfg(test)]
@@ -133,13 +128,6 @@ mod tests {
                     kind.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn inadmissible_alias_agrees() {
-        for kind in ALL_DATASETS {
-            assert_eq!(kind.inadmissible_attrs(), kind.salimi_inadmissible());
         }
     }
 

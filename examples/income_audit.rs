@@ -58,7 +58,7 @@ fn main() {
     // A demographic-parity repair closes DI (and CRD follows along),
     // while the causal approaches directly optimise the causal notion.
     for name in ["KamCal^DP", "ZhaWu^PSF", "Salimi^JF(MatFac)"] {
-        let approach = all_approaches(kind.inadmissible_attrs())
+        let approach = all_approaches(kind.salimi_inadmissible())
             .into_iter()
             .find(|a| a.name == name)
             .expect("registered approach");

@@ -18,7 +18,7 @@ fn main() {
     let (train, test) = split::train_test_split(&data, 0.3, &mut rng);
 
     let mut approaches = vec![baseline_approach()];
-    approaches.extend(all_approaches(kind.inadmissible_attrs()));
+    approaches.extend(all_approaches(kind.salimi_inadmissible()));
 
     println!(
         "{:<20} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9} {:>9} {:>7} {:>9} {:>9}",

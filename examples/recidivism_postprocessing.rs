@@ -43,7 +43,7 @@ fn main() {
     report("none (LR)", &base, &test, base_ms);
 
     for name in ["KamKar^DP", "Hardt^EO", "Pleiss^EOP"] {
-        let approach = all_approaches(kind.inadmissible_attrs())
+        let approach = all_approaches(kind.salimi_inadmissible())
             .into_iter()
             .find(|a| a.name == name)
             .expect("registered post-processor");

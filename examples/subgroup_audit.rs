@@ -27,7 +27,7 @@ fn main() {
 
     let mut approaches = vec![baseline_approach()];
     approaches.extend(
-        all_approaches(kind.inadmissible_attrs())
+        all_approaches(kind.salimi_inadmissible())
             .into_iter()
             .filter(|a| a.name == "Kearns^PE"),
     );

@@ -76,7 +76,7 @@ fn approaches_improve_their_target_metric_on_compas() {
         _ => unreachable!(),
     };
 
-    for approach in all_approaches(kind.inadmissible_attrs()) {
+    for approach in all_approaches(kind.salimi_inadmissible()) {
         if approach.targets.is_empty() {
             continue;
         }
@@ -104,7 +104,7 @@ fn post_processing_trails_on_individual_fairness() {
     let (train, test) = split::train_test_split(&data, 0.3, &mut rng);
 
     let mut stage_cd: std::collections::HashMap<&str, Vec<f64>> = Default::default();
-    for approach in all_approaches(kind.inadmissible_attrs()) {
+    for approach in all_approaches(kind.salimi_inadmissible()) {
         let r = fit_eval(&approach, kind, &train, &test);
         stage_cd
             .entry(approach.stage.label())
@@ -134,7 +134,7 @@ fn post_processing_is_fastest_stage() {
     let data = kind.generate(4_000, 42);
 
     let time_of = |name: &str| -> u128 {
-        let approach = all_approaches(kind.inadmissible_attrs())
+        let approach = all_approaches(kind.salimi_inadmissible())
             .into_iter()
             .find(|a| a.name == name)
             .unwrap();
@@ -163,7 +163,7 @@ fn stability_over_folds() {
     let kind = DatasetKind::German;
     let data = kind.generate(1_000, 21);
     for name in ["KamCal^DP", "Hardt^EO", "Zafar^DP_Fair"] {
-        let approach = all_approaches(kind.inadmissible_attrs())
+        let approach = all_approaches(kind.salimi_inadmissible())
             .into_iter()
             .find(|a| a.name == name)
             .unwrap();
