@@ -347,7 +347,10 @@ impl Approach {
                 Ok(FittedPipeline::Model(Box::new(LrClassifier::train(train, true)?)))
             }
             ApproachKind::Pre(p) => {
-                let repaired = p.repair(train, &mut rng)?;
+                let repaired = {
+                    let _span = fairlens_trace::span("repair");
+                    p.repair(train, &mut rng)?
+                };
                 if repaired.n_rows() == 0 {
                     return Err(CoreError::BadInput("repair removed every tuple".into()));
                 }

@@ -126,6 +126,9 @@ pub struct ModelMonitor {
     next_seq: u64,
     tracker: DriftTracker,
     baseline: Vec<(String, f64)>,
+    /// The live suite over the current window, recomputed once per window
+    /// mutation.
+    live: Vec<LiveMetric>,
 }
 
 impl ModelMonitor {
@@ -139,6 +142,7 @@ impl ModelMonitor {
             next_seq: 0,
             tracker: DriftTracker::new(&cfg.drift),
             baseline,
+            live: Vec::new(),
         }
     }
 
@@ -150,6 +154,11 @@ impl ModelMonitor {
     /// Current drift state.
     pub fn drift_state(&self) -> DriftState {
         self.tracker.state()
+    }
+
+    /// The live metric suite over the current window.
+    pub fn live(&self) -> &[LiveMetric] {
+        &self.live
     }
 
     /// Record one scored predict call (singular or batch — one entry per
@@ -213,15 +222,16 @@ impl ModelMonitor {
         Ok((receipt, self.evaluate(now)))
     }
 
-    /// Re-evaluate drift after a window mutation. Only full windows are
-    /// judged: partial windows would compare metrics over a different
-    /// sample size than the baseline was computed on.
+    /// Recompute the live suite after a window mutation and re-evaluate
+    /// drift. Only full windows are judged: partial windows would compare
+    /// metrics over a different sample size than the baseline was computed
+    /// on.
     fn evaluate(&mut self, now: Instant) -> Option<(DriftState, DriftState)> {
+        self.live = live_metrics(&self.window.observations());
         if !self.window.is_full() {
             return None;
         }
-        let live = live_metrics(&self.window.observations());
-        self.tracker.evaluate(&live, self.window.labeled(), &self.baseline, now)
+        self.tracker.evaluate(&self.live, self.window.labeled(), &self.baseline, now)
     }
 
     /// A consistent read-only snapshot at time `now`.
@@ -232,7 +242,7 @@ impl ModelMonitor {
             labeled: self.window.labeled(),
             pushed: self.window.pushed(),
             pending: self.pending.len(),
-            live: live_metrics(&self.window.observations()),
+            live: self.live.clone(),
             drift_state: self.tracker.state(),
             breaching: self.tracker.breaching().to_vec(),
             thresholds: self.tracker.thresholds().to_vec(),

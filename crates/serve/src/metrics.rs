@@ -13,6 +13,8 @@ use std::fmt::{self, Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use fairlens_monitor::LiveMetric;
+
 /// Latency buckets, seconds.
 const LATENCY_BUCKETS: [f64; 10] =
     [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0];
@@ -166,8 +168,9 @@ pub struct Metrics {
     inflight: AtomicU64,
     /// Artifacts that failed to load/restore and were quarantined.
     load_failures: AtomicU64,
-    /// `(model, metric, group)` → live windowed fairness-metric value.
-    live: Mutex<BTreeMap<(String, String, String), f64>>,
+    /// Model id → live windowed fairness-metric suite, in the monitor's
+    /// order (sorted by metric and group at render time).
+    live: Mutex<BTreeMap<String, Vec<LiveMetric>>>,
     /// Model id → drift-state gauge (0 ok / 1 warning / 2 alerting).
     drift: Mutex<BTreeMap<String, u64>>,
     /// `(model, status)` → feedback reports (ok/unknown/duplicate/invalid).
@@ -305,11 +308,18 @@ impl Metrics {
     /// Publish the full live-metric suite for one model, replacing the
     /// previous snapshot (metrics that left the suite — e.g. a group
     /// vanished from the window — must disappear from the exposition).
-    pub fn set_live_metrics(&self, model: &str, values: &[(&str, &str, f64)]) {
+    /// After a model's first publish this overwrites its suite in place and
+    /// allocates nothing unless the suite outgrows every earlier one.
+    pub fn set_live_metrics(&self, model: &str, values: &[LiveMetric]) {
         let mut map = self.live.lock().unwrap();
-        map.retain(|(m, _, _), _| m != model);
-        for &(metric, group, value) in values {
-            map.insert((model.to_string(), metric.to_string(), group.to_string()), value);
+        match map.get_mut(model) {
+            Some(suite) => {
+                suite.clear();
+                suite.extend_from_slice(values);
+            }
+            None => {
+                map.insert(model.to_string(), values.to_vec());
+            }
         }
     }
 
@@ -425,12 +435,16 @@ impl Metrics {
             "gauge",
             "Windowed live fairness/correctness metrics over scored traffic.",
         );
-        for ((model, metric, group), value) in self.live.lock().unwrap().iter() {
-            out.sample(
-                "fairlens_live_metric",
-                &[("model", model), ("metric", metric), ("group", group)],
-                value,
-            );
+        for (model, suite) in self.live.lock().unwrap().iter() {
+            let mut sorted: Vec<&LiveMetric> = suite.iter().collect();
+            sorted.sort_by_key(|m| (m.metric, m.group));
+            for m in sorted {
+                out.sample(
+                    "fairlens_live_metric",
+                    &[("model", model), ("metric", &m.metric), ("group", &m.group)],
+                    m.value,
+                );
+            }
         }
 
         out.family(
@@ -490,6 +504,10 @@ fn store_gauge(map: &mut BTreeMap<String, u64>, model: &str, value: u64) {
 mod tests {
     use super::*;
 
+    fn live(metric: &'static str, group: &'static str, value: f64) -> LiveMetric {
+        LiveMetric { metric, group, value }
+    }
+
     /// A registry with every family populated, label values included.
     fn populated() -> Metrics {
         let m = Metrics::new();
@@ -518,7 +536,10 @@ mod tests {
         m.record_shadow_compare("german-lr", true);
         m.set_inflight(5);
         m.record_load_failure();
-        m.set_live_metrics("german-lr", &[("di_star", "all", 0.75), ("pos_rate", "1", 0.375)]);
+        m.set_live_metrics(
+            "german-lr",
+            &[live("di_star", "all", 0.75), live("pos_rate", "1", 0.375)],
+        );
         m.set_drift_state("german-lr", 1);
         m.record_feedback("german-lr", "ok");
         m.record_feedback("german-lr", "duplicate");
@@ -617,7 +638,11 @@ mod tests {
         let m = Metrics::new();
         m.set_live_metrics(
             "german-lr",
-            &[("di_star", "all", 0.75), ("pos_rate", "0", 0.5), ("pos_rate", "1", 0.375)],
+            &[
+                live("di_star", "all", 0.75),
+                live("pos_rate", "0", 0.5),
+                live("pos_rate", "1", 0.375),
+            ],
         );
         m.set_drift_state("german-lr", 0);
         m.record_feedback("german-lr", "ok");
@@ -636,7 +661,7 @@ mod tests {
             "fairlens_feedback_total{model=\"german-lr\",status=\"duplicate\"} 1"
         ));
         // A new snapshot replaces the model's whole live suite.
-        m.set_live_metrics("german-lr", &[("di_star", "all", 0.8)]);
+        m.set_live_metrics("german-lr", &[live("di_star", "all", 0.8)]);
         m.set_drift_state("german-lr", 2);
         let text = m.render();
         assert!(text.contains(

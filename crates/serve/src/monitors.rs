@@ -109,12 +109,10 @@ impl MonitorHub {
         monitor: &ModelMonitor,
         transition: Option<(DriftState, DriftState)>,
     ) {
-        let snap = monitor.snapshot(self.clock.now());
-        let live: Vec<(&str, &str, f64)> =
-            snap.live.iter().map(|m| (m.metric, m.group, m.value)).collect();
-        self.metrics.set_live_metrics(model, &live);
-        self.metrics.set_drift_state(model, snap.drift_state.gauge());
+        self.metrics.set_live_metrics(model, monitor.live());
+        self.metrics.set_drift_state(model, monitor.drift_state().gauge());
         if let Some((from, to)) = transition {
+            let snap = monitor.snapshot(self.clock.now());
             fairlens_trace::event(match to {
                 DriftState::Ok => "drift:ok",
                 DriftState::Warning => "drift:warning",

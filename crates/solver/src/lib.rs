@@ -8,7 +8,7 @@
 //! small linear program. The paper consumed off-the-shelf solvers; this crate
 //! implements all three from scratch:
 //!
-//! * [`maxsat`] — weighted partial MaxSAT: exact branch-and-bound for small
+//! * [`maxsat`] — weighted partial MaxSAT: exhaustive exact search for small
 //!   instances, WalkSAT-style stochastic local search for large ones;
 //! * [`nmf`] — non-negative matrix factorisation via Lee–Seung
 //!   multiplicative updates;

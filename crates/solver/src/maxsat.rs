@@ -6,12 +6,14 @@
 //! all hard clauses holding.
 //!
 //! Two engines:
-//! * exact branch-and-bound with unit-propagation-free bounding, used when
-//!   the variable count is small (`solve` dispatches below
+//! * exact exhaustive enumeration of all 2^n assignments, used when the
+//!   variable count is small (`solve` dispatches at or below
 //!   [`EXACT_VAR_LIMIT`]);
 //! * WalkSAT-style weighted stochastic local search with restarts for
 //!   larger instances — the classic incomplete approach for repair-style
-//!   encodings like Salimi's.
+//!   encodings like Salimi's. Each flip updates per-clause satisfied-literal
+//!   counts, the set of unsatisfied clauses and the soft total
+//!   incrementally, touching only the flipped variable's occurrences.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -228,6 +230,21 @@ impl MaxSatProblem {
     /// `observe(restart, best_soft_weight, best_hard_ok)` on the incumbent
     /// after each restart finishes — the checkpoint stream the
     /// cross-verification harness compares against the exact solver.
+    ///
+    /// Each flip updates the satisfied-literal counts of the flipped
+    /// variable's clauses by ±1, and the unsatisfied set and the soft total
+    /// only where a count crosses zero. The unsatisfied clauses are walked
+    /// in ascending clause order, and the greedy step scores a literal from
+    /// the first literal on its variable in each clause, so the random
+    /// draws, the clause picked and the variable flipped follow one fixed
+    /// trajectory per seed. The soft total is kept as a running sum of ±w
+    /// instead of a clause-order sum: the result is bit-identical to summing
+    /// the satisfied soft weights in clause order whenever every weight is a
+    /// multiple of one power of two and the total stays below 2^53 of that
+    /// unit (then every partial sum is exact). For other weights, near-ties
+    /// between incumbents may resolve differently.
+    ///
+    /// [`solve_local_search`]: Self::solve_local_search
     pub fn solve_local_search_observed(
         &self,
         seed: u64,
@@ -237,11 +254,267 @@ impl MaxSatProblem {
     ) -> MaxSatSolution {
         let mut rng = StdRng::seed_from_u64(seed);
         let hard_w = self.total_soft_weight() + 1.0;
+        let eff: Vec<f64> = self.clauses.iter().map(|c| c.weight.unwrap_or(hard_w)).collect();
+        let occurs = Occurrences::build(self);
+
+        let mut best: Option<MaxSatSolution> = None;
+        for restart in 0..restarts.max(1) {
+            let assignment: Vec<bool> = (0..self.n_vars).map(|_| rng.gen()).collect();
+            let mut walk = Walk::new(self, assignment);
+            walk.offer(&mut best);
+
+            for _ in 0..flips {
+                fairlens_budget::checkpoint();
+                fairlens_trace::incr("maxsat.flips", 1);
+                // Pick a random unsatisfied clause, weighted toward heavy ones.
+                let Some(first) = walk.unsat.iter().next() else {
+                    break;
+                };
+                let total_w: f64 = walk.unsat.iter().map(|ci| eff[ci]).sum();
+                let mut pick = rng.gen::<f64>() * total_w;
+                let mut chosen = first;
+                for ci in walk.unsat.iter() {
+                    pick -= eff[ci];
+                    if pick <= 0.0 {
+                        chosen = ci;
+                        break;
+                    }
+                }
+
+                // Either a noisy random flip or the greedy best flip.
+                let lits = &self.clauses[chosen].lits;
+                let flip_var = if rng.gen::<f64>() < 0.2 {
+                    lits[rng.gen_range(0..lits.len())].var
+                } else {
+                    // Greedy: pick the literal whose flip loses the least.
+                    let mut best_var = lits[0].var;
+                    let mut best_delta = f64::NEG_INFINITY;
+                    for l in lits {
+                        let delta = walk.flip_gain(l.var, occurs.of(l.var), &eff);
+                        if delta > best_delta {
+                            best_delta = delta;
+                            best_var = l.var;
+                        }
+                    }
+                    best_var
+                };
+
+                walk.flip(flip_var, occurs.of(flip_var), &self.clauses);
+                walk.offer(&mut best);
+            }
+            if let Some(b) = &best {
+                observe(restart, b.soft_weight, b.hard_ok);
+            }
+        }
+        best.expect("at least one restart ran")
+    }
+}
+
+/// One literal occurrence of a variable.
+#[derive(Debug, Clone, Copy)]
+struct Occ {
+    clause: usize,
+    /// This literal's polarity.
+    positive: bool,
+    /// The polarity of the clause's first literal on the same variable,
+    /// which the greedy score reads for every occurrence in that clause.
+    first_positive: bool,
+}
+
+/// Every variable's literal occurrences, stored flat: variable `v`'s are
+/// `occs[start[v]..start[v + 1]]`, in ascending clause order and, within a
+/// clause, in literal order (a variable repeated in a clause occurs once
+/// per literal).
+struct Occurrences {
+    start: Vec<usize>,
+    occs: Vec<Occ>,
+}
+
+impl Occurrences {
+    /// O(literals): the first literal of each variable in a clause is found
+    /// with a per-variable stamp of the last clause it was seen in.
+    fn build(p: &MaxSatProblem) -> Self {
+        let mut start = vec![0usize; p.n_vars + 1];
+        for l in p.clauses.iter().flat_map(|c| &c.lits) {
+            start[l.var + 1] += 1;
+        }
+        for v in 0..p.n_vars {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let blank = Occ { clause: 0, positive: false, first_positive: false };
+        let mut occs = vec![blank; start[p.n_vars]];
+        let mut seen_in = vec![usize::MAX; p.n_vars];
+        let mut first_positive = vec![false; p.n_vars];
+        for (ci, c) in p.clauses.iter().enumerate() {
+            for l in &c.lits {
+                if seen_in[l.var] != ci {
+                    seen_in[l.var] = ci;
+                    first_positive[l.var] = l.positive;
+                }
+                occs[next[l.var]] =
+                    Occ { clause: ci, positive: l.positive, first_positive: first_positive[l.var] };
+                next[l.var] += 1;
+            }
+        }
+        Self { start, occs }
+    }
+
+    fn of(&self, var: usize) -> &[Occ] {
+        &self.occs[self.start[var]..self.start[var + 1]]
+    }
+}
+
+/// A set of clause indices as a bitset, iterated in ascending order.
+struct ClauseSet {
+    words: Vec<u64>,
+}
+
+impl ClauseSet {
+    fn new(n: usize) -> Self {
+        Self { words: vec![0; n.div_ceil(64)] }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + i
+                })
+            })
+        })
+    }
+}
+
+/// The state of one WalkSAT restart.
+struct Walk {
+    assignment: Vec<bool>,
+    /// Satisfied literals per clause, a repeated literal counted each time.
+    sat_count: Vec<usize>,
+    unsat: ClauseSet,
+    hard_unsat: usize,
+    soft: f64,
+}
+
+impl Walk {
+    fn new(p: &MaxSatProblem, assignment: Vec<bool>) -> Self {
+        let mut unsat = ClauseSet::new(p.clauses.len());
+        let mut hard_unsat = 0;
+        let sat_count: Vec<usize> = p
+            .clauses
+            .iter()
+            .map(|c| c.lits.iter().filter(|l| l.satisfied_by(&assignment)).count())
+            .collect();
+        for (ci, c) in p.clauses.iter().enumerate() {
+            if sat_count[ci] == 0 {
+                unsat.insert(ci);
+                hard_unsat += usize::from(c.weight.is_none());
+            }
+        }
+        let (soft, _) = p.evaluate(&assignment);
+        Self { assignment, sat_count, unsat, hard_unsat, soft }
+    }
+
+    /// The change in satisfied effective weight if `var` flipped, scored
+    /// over its occurrences in order.
+    fn flip_gain(&self, var: usize, occs: &[Occ], eff: &[f64]) -> f64 {
+        let mut delta = 0.0;
+        for o in occs {
+            let count = self.sat_count[o.clause];
+            let was_sat = count > 0;
+            let new_sat = if self.assignment[var] == o.first_positive { count > 1 } else { true };
+            if was_sat && !new_sat {
+                delta -= eff[o.clause];
+            } else if !was_sat && new_sat {
+                delta += eff[o.clause];
+            }
+        }
+        delta
+    }
+
+    /// Flip `var` and update every count its occurrences touch. Literals
+    /// that become true are counted before those that become false, so a
+    /// clause holding both polarities never passes through zero and
+    /// changes state at most once.
+    fn flip(&mut self, var: usize, occs: &[Occ], clauses: &[Clause]) {
+        let now = !self.assignment[var];
+        self.assignment[var] = now;
+        for o in occs.iter().filter(|o| o.positive == now) {
+            self.sat_count[o.clause] += 1;
+            if self.sat_count[o.clause] == 1 {
+                self.unsat.remove(o.clause);
+                match clauses[o.clause].weight {
+                    Some(w) => self.soft += w,
+                    None => self.hard_unsat -= 1,
+                }
+            }
+        }
+        for o in occs.iter().filter(|o| o.positive != now) {
+            self.sat_count[o.clause] -= 1;
+            if self.sat_count[o.clause] == 0 {
+                self.unsat.insert(o.clause);
+                match clauses[o.clause].weight {
+                    Some(w) => self.soft -= w,
+                    None => self.hard_unsat += 1,
+                }
+            }
+        }
+    }
+
+    /// Replace the incumbent when this assignment is better: hard
+    /// feasibility first, then soft weight.
+    fn offer(&self, best: &mut Option<MaxSatSolution>) {
+        let hard_ok = self.hard_unsat == 0;
+        let better = match best.as_ref() {
+            None => true,
+            Some(b) => {
+                (hard_ok && !b.hard_ok) || (hard_ok == b.hard_ok && self.soft > b.soft_weight)
+            }
+        };
+        if better {
+            *best = Some(MaxSatSolution {
+                assignment: self.assignment.clone(),
+                soft_weight: self.soft,
+                hard_ok,
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The reference flip loop the incremental one replaced: every flip
+    /// rebuilds the unsatisfied list from all clauses, finds each
+    /// occurrence's first literal on the variable with `find`, recounts
+    /// every clause of the flipped variable and re-evaluates the whole
+    /// problem.
+    fn naive_local_search(
+        p: &MaxSatProblem,
+        seed: u64,
+        flips: usize,
+        restarts: usize,
+        observe: &mut dyn FnMut(usize, f64, bool),
+    ) -> MaxSatSolution {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let hard_w = p.total_soft_weight() + 1.0;
         let eff = |c: &Clause| c.weight.unwrap_or(hard_w);
 
-        // var -> clauses containing it
-        let mut occurs: Vec<Vec<usize>> = vec![Vec::new(); self.n_vars];
-        for (ci, c) in self.clauses.iter().enumerate() {
+        let mut occurs: Vec<Vec<usize>> = vec![Vec::new(); p.n_vars];
+        for (ci, c) in p.clauses.iter().enumerate() {
             for l in &c.lits {
                 occurs[l.var].push(ci);
             }
@@ -249,9 +522,9 @@ impl MaxSatProblem {
 
         let mut best: Option<MaxSatSolution> = None;
         let consider = |best: &mut Option<MaxSatSolution>,
-                            assignment: &[bool],
-                            soft: f64,
-                            hard_ok: bool| {
+                        assignment: &[bool],
+                        soft: f64,
+                        hard_ok: bool| {
             let better = match best.as_ref() {
                 None => true,
                 Some(b) => {
@@ -267,57 +540,45 @@ impl MaxSatProblem {
             }
         };
         for restart in 0..restarts.max(1) {
-            let mut assignment: Vec<bool> = (0..self.n_vars).map(|_| rng.gen()).collect();
-            let mut sat_count: Vec<usize> = self
+            let mut assignment: Vec<bool> = (0..p.n_vars).map(|_| rng.gen()).collect();
+            let mut sat_count: Vec<usize> = p
                 .clauses
                 .iter()
                 .map(|c| c.lits.iter().filter(|l| l.satisfied_by(&assignment)).count())
                 .collect();
-            let (s0, h0) = self.evaluate(&assignment);
+            let (s0, h0) = p.evaluate(&assignment);
             consider(&mut best, &assignment, s0, h0);
 
             for _ in 0..flips {
-                fairlens_budget::checkpoint();
-                fairlens_trace::incr("maxsat.flips", 1);
-                // Pick a random unsatisfied clause, weighted toward heavy ones.
-                let unsat: Vec<usize> = (0..self.clauses.len())
-                    .filter(|&ci| sat_count[ci] == 0)
-                    .collect();
+                let unsat: Vec<usize> =
+                    (0..p.clauses.len()).filter(|&ci| sat_count[ci] == 0).collect();
                 if unsat.is_empty() {
                     break;
                 }
-                let total_w: f64 = unsat.iter().map(|&ci| eff(&self.clauses[ci])).sum();
+                let total_w: f64 = unsat.iter().map(|&ci| eff(&p.clauses[ci])).sum();
                 let mut pick = rng.gen::<f64>() * total_w;
                 let mut chosen = unsat[0];
                 for &ci in &unsat {
-                    pick -= eff(&self.clauses[ci]);
+                    pick -= eff(&p.clauses[ci]);
                     if pick <= 0.0 {
                         chosen = ci;
                         break;
                     }
                 }
 
-                // Either a noisy random flip or the greedy best flip.
                 let flip_var = if rng.gen::<f64>() < 0.2 {
-                    self.clauses[chosen].lits[rng.gen_range(0..self.clauses[chosen].lits.len())]
-                        .var
+                    p.clauses[chosen].lits[rng.gen_range(0..p.clauses[chosen].lits.len())].var
                 } else {
-                    // Greedy: pick the literal whose flip loses the least.
-                    let mut best_var = self.clauses[chosen].lits[0].var;
+                    let mut best_var = p.clauses[chosen].lits[0].var;
                     let mut best_delta = f64::NEG_INFINITY;
-                    for l in &self.clauses[chosen].lits {
+                    for l in &p.clauses[chosen].lits {
                         let mut delta = 0.0;
                         for &ci in &occurs[l.var] {
-                            let c = &self.clauses[ci];
+                            let c = &p.clauses[ci];
                             let was_sat = sat_count[ci] > 0;
-                            // After flipping l.var, does ci change status?
                             let lit_in_c = c.lits.iter().find(|x| x.var == l.var).unwrap();
                             let lit_now = lit_in_c.satisfied_by(&assignment);
-                            let new_sat = if lit_now {
-                                sat_count[ci] - 1 > 0
-                            } else {
-                                true
-                            };
+                            let new_sat = if lit_now { sat_count[ci] - 1 > 0 } else { true };
                             if was_sat && !new_sat {
                                 delta -= eff(c);
                             } else if !was_sat && new_sat {
@@ -332,16 +593,15 @@ impl MaxSatProblem {
                     best_var
                 };
 
-                // Flip and refresh the affected satisfaction counts.
                 assignment[flip_var] = !assignment[flip_var];
                 for &ci in &occurs[flip_var] {
-                    sat_count[ci] = self.clauses[ci]
+                    sat_count[ci] = p.clauses[ci]
                         .lits
                         .iter()
                         .filter(|l| l.satisfied_by(&assignment))
                         .count();
                 }
-                let (soft, hard_ok) = self.evaluate(&assignment);
+                let (soft, hard_ok) = p.evaluate(&assignment);
                 consider(&mut best, &assignment, soft, hard_ok);
             }
             if let Some(b) = &best {
@@ -350,11 +610,80 @@ impl MaxSatProblem {
         }
         best.expect("at least one restart ran")
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Random instances of 20–300 variables. About three quarters of the
+    /// variables get a soft unit clause of each polarity, so some clause
+    /// stays unsatisfied and every walk runs all its flips. The other
+    /// clauses hold 1–40 literals, half of them at most 3, and a literal
+    /// repeats the previous variable of its clause a quarter of the time,
+    /// with either polarity: short clauses like `x ∨ ¬x ∨ y` are where the
+    /// greedy score's first-literal rule matters. Soft weights are k/4 for
+    /// k in 1..=20.
+    fn walk_instance() -> impl Strategy<Value = MaxSatProblem> {
+        let weight = || (1u32..21).prop_map(|k| f64::from(k) / 4.0);
+        (20usize..301).prop_flat_map(move |n_vars| {
+            let units = prop::collection::vec(prop::option::of((weight(), weight())), n_vars);
+            let clauses = prop::collection::vec(
+                (
+                    prop::collection::vec((0..n_vars, any::<bool>(), 0u32..4), 1..41),
+                    any::<bool>(),
+                    prop::option::of(weight()),
+                ),
+                1..120,
+            );
+            (units, clauses).prop_map(move |(units, clauses)| {
+                let mut p = MaxSatProblem::new(n_vars);
+                for (v, pair) in units.into_iter().enumerate() {
+                    if let Some((w_pos, w_neg)) = pair {
+                        p.add(Clause::soft(vec![Lit::pos(v)], w_pos).unwrap()).unwrap();
+                        p.add(Clause::soft(vec![Lit::neg(v)], w_neg).unwrap()).unwrap();
+                    }
+                }
+                for (draws, short, weight) in clauses {
+                    let len = if short { draws.len().min(3) } else { draws.len() };
+                    let mut lits: Vec<Lit> = Vec::with_capacity(len);
+                    for (v, positive, repeat) in draws.into_iter().take(len) {
+                        let var = match lits.last() {
+                            Some(prev) if repeat == 0 => prev.var,
+                            _ => v,
+                        };
+                        lits.push(Lit { var, positive });
+                    }
+                    let clause = match weight {
+                        Some(w) => Clause::soft(lits, w).unwrap(),
+                        None => Clause::hard(lits),
+                    };
+                    p.add(clause).unwrap();
+                }
+                p
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn walk_matches_naive_oracle_bit_for_bit(
+            p in walk_instance(),
+            seed in 0u64..1_000_000,
+            flips in 0usize..1500,
+            restarts in 1usize..4,
+        ) {
+            let mut seen = Vec::new();
+            let got = p.solve_local_search_observed(seed, flips, restarts, &mut |r, w, ok| {
+                seen.push((r, w.to_bits(), ok));
+            });
+            let mut want_seen = Vec::new();
+            let want = naive_local_search(&p, seed, flips, restarts, &mut |r, w, ok| {
+                want_seen.push((r, w.to_bits(), ok));
+            });
+            prop_assert_eq!(&got.assignment, &want.assignment);
+            prop_assert_eq!(got.soft_weight.to_bits(), want.soft_weight.to_bits());
+            prop_assert_eq!(got.hard_ok, want.hard_ok);
+            prop_assert_eq!(seen, want_seen);
+        }
+    }
 
     #[test]
     fn exact_simple_instance() {

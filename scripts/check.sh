@@ -17,6 +17,11 @@ cargo test -q
 echo "==> cargo test -q -p fairlens-serve -p fairlens-fleet"
 cargo test -q -p fairlens-serve -p fairlens-fleet
 
+# Every other crate's unit and integration suites: the solver and causal
+# oracles, the kernel equivalence tests, monitor, trace and bench.
+echo "==> cargo test -q --workspace --exclude fairlens --exclude fairlens-serve --exclude fairlens-fleet"
+cargo test -q --workspace --exclude fairlens --exclude fairlens-serve --exclude fairlens-fleet
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

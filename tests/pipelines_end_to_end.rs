@@ -147,6 +147,41 @@ fn salimi_repair_is_deterministic_per_seed() {
 }
 
 #[test]
+fn salimi_maxsat_repair_is_pinned() {
+    // Every stratum of this draw is solved by WalkSAT, so the repaired
+    // rows pin its trajectory: the clause picked and the variable flipped
+    // at every step, and the incumbent each restart keeps.
+    use fairlens::core::pipeline::Preprocessor;
+    use fairlens::core::pre::{Salimi, SalimiEngine};
+    use fairlens::frame::Column;
+    let train = credit_14(7);
+    let inadmissible: Vec<String> = DatasetKind::Credit
+        .salimi_inadmissible()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let salimi = Salimi::new(SalimiEngine::MaxSat, inadmissible);
+    let repaired = salimi.repair(&train, &mut StdRng::seed_from_u64(42)).unwrap();
+    // FNV-1a over the row count, labels, sensitive values and every column.
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |x: u64| {
+        for b in x.to_le_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    feed(repaired.n_rows() as u64);
+    repaired.labels().iter().for_each(|&y| feed(u64::from(y)));
+    repaired.sensitive().iter().for_each(|&s| feed(u64::from(s)));
+    for column in repaired.columns() {
+        match column {
+            Column::Numeric(values) => values.iter().for_each(|v| feed(v.to_bits())),
+            Column::Categorical { codes, .. } => codes.iter().for_each(|&c| feed(u64::from(c))),
+        }
+    }
+    assert_eq!((repaired.n_rows(), hash), (4_000, 18_133_170_180_847_764_490));
+}
+
+#[test]
 fn zhawu_discovery_on_credit_is_pinned() {
     // ZhaWu's discovery step (3 bins, default options) on one fixed draw:
     // every χ² test has one fixed result, so the edge list, in each node's
