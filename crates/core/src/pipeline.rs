@@ -361,7 +361,10 @@ impl Approach {
             ApproachKind::Post(p) => {
                 let base = LrClassifier::train(train, true)?;
                 let probs = base.proba(train);
-                let adjuster = p.fit(&probs, train.labels(), train.sensitive(), &mut rng)?;
+                let adjuster = {
+                    let _span = fairlens_trace::span("adjust");
+                    p.fit(&probs, train.labels(), train.sensitive(), &mut rng)?
+                };
                 Ok(FittedPipeline::Adjusted { base, adjuster, seed })
             }
         }

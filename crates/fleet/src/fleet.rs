@@ -31,6 +31,11 @@
 //!   directory. The fleet then refreshes every worker before unpausing —
 //!   no request is ever answered by a mix of versions, and the fleet
 //!   never reads or writes a `.flm` itself.
+//!
+//! Connections: the front door and every worker give each connection its
+//! own thread, so pooled backend connections cannot crowd out the
+//! supervisor's `/healthz` probes. One limit remains: a worker already
+//! holding 256 connections answers even a probe 503, a failed probe.
 
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
@@ -63,8 +68,6 @@ pub struct FleetConfig {
     pub models_dir: PathBuf,
     /// The `fairlens-serve` binary to spawn.
     pub serve_bin: PathBuf,
-    /// Front-door connection-worker threads.
-    pub conn_workers: usize,
     /// Supervisor probe cadence.
     pub probe_interval: Duration,
     /// Per-probe connect/read timeout.
@@ -104,7 +107,6 @@ impl Default for FleetConfig {
             replicas: 2,
             models_dir: PathBuf::from("models"),
             serve_bin: PathBuf::from("fairlens-serve"),
-            conn_workers: 8,
             probe_interval: Duration::from_millis(100),
             probe_timeout: Duration::from_millis(500),
             boot_timeout: Duration::from_secs(30),
@@ -129,7 +131,7 @@ struct Slot {
     spawned_at: Option<Instant>,
 }
 
-/// Shared state for the front door's connection workers.
+/// Shared state for the front door's connection threads.
 struct FleetCtx {
     cfg: FleetConfig,
     metrics: Arc<FleetMetrics>,
@@ -226,8 +228,7 @@ impl Fleet {
                 spawned_at: Some(Instant::now()),
             });
         }
-        // The front door sets no per-connection request cap.
-        let http = http::Server::bind(&cfg.addr, "fleet-conn", cfg.conn_workers, cfg.limits, 0)?;
+        let http = http::Server::bind(&cfg.addr, "fleet", cfg.limits)?;
         let metrics = Arc::new(FleetMetrics::new());
         Ok(Self {
             ctx: Arc::new(FleetCtx {

@@ -8,7 +8,7 @@ use fairlens_fleet::{Fleet, FleetConfig};
 
 const USAGE: &str = "\
 fairlens-fleet [--addr HOST:PORT] [--models DIR] [--workers N]
-               [--replicas R] [--serve-bin PATH] [--conn-workers N]
+               [--replicas R] [--serve-bin PATH]
                [--probe-interval-ms MS] [--probe-timeout-ms MS]
                [--boot-timeout-ms MS] [--forward-timeout-ms MS]
                [--forward-deadline-ms MS] [--backoff-base-ms MS]
@@ -27,7 +27,8 @@ Placement and failover: each model is owned by --replicas workers chosen
 by rendezvous hashing; /v1/predict and /v1/feedback route to the first
 routable replica and transparently re-send on the next one when a worker
 dies mid-request. Scoring is deterministic, so the answer is bit-exact
-whichever replica speaks.
+whichever replica speaks. The front door and every worker give each
+connection its own thread, so no client can crowd out the probes.
 
 Supervision: workers are probed via GET /healthz every
 --probe-interval-ms; --fail-threshold consecutive probe failures (or a
@@ -98,7 +99,6 @@ fn main() {
             "--workers" => cfg.workers = parse_flag("--workers", value),
             "--replicas" => cfg.replicas = parse_flag("--replicas", value),
             "--serve-bin" => cfg.serve_bin = parse_flag::<PathBuf>("--serve-bin", value),
-            "--conn-workers" => cfg.conn_workers = parse_flag("--conn-workers", value),
             "--probe-interval-ms" => cfg.probe_interval = parse_ms("--probe-interval-ms", value),
             "--probe-timeout-ms" => cfg.probe_timeout = parse_ms("--probe-timeout-ms", value),
             "--boot-timeout-ms" => cfg.boot_timeout = parse_ms("--boot-timeout-ms", value),

@@ -12,6 +12,8 @@ mod common;
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::{
@@ -20,6 +22,7 @@ use common::{
 };
 use fairlens_fleet::{Fleet, FleetConfig, SupervisorConfig};
 use fairlens_json::{object, Value};
+use fairlens_serve::http::Conn;
 use fairlens_synth::DatasetKind;
 
 // ---------------------------------------------------------------------------
@@ -51,7 +54,6 @@ fn fast_cfg(dir: &Path, workers: usize, replicas: usize) -> FleetConfig {
         replicas,
         models_dir: dir.to_path_buf(),
         serve_bin: serve_bin(),
-        conn_workers: 4,
         probe_interval: Duration::from_millis(50),
         probe_timeout: Duration::from_millis(300),
         supervisor: SupervisorConfig {
@@ -263,6 +265,72 @@ fn abort_fault_respawns_clean_and_traffic_survives() {
     shutdown_and_join(&addr, handle);
 }
 
+/// `(every listed worker is up, summed restarts)` from a `/metrics` text.
+fn worker_health(metrics: &str) -> (Vec<bool>, u64) {
+    let value = |line: &str| line.rsplit(' ').next().unwrap().parse::<u64>().unwrap();
+    let up = metrics
+        .lines()
+        .filter(|l| l.starts_with("fairlens_worker_up{"))
+        .map(|l| value(l) == 1)
+        .collect();
+    let restarts = metrics
+        .lines()
+        .filter(|l| l.starts_with("fairlens_worker_restarts_total{"))
+        .map(value)
+        .sum();
+    (up, restarts)
+}
+
+#[test]
+fn keep_alive_clients_never_crowd_out_the_supervisor() {
+    let dir = temp_models_dir("keepalive");
+    export(&dir, "german-lr", "LR", 11);
+    // Default worker settings, no faults: more keep-alive clients than a
+    // worker had connection threads before each connection got its own.
+    let (addr, handle) = launch_fleet(fast_cfg(&dir, 2, 2));
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..8)
+        .map(|_| {
+            let (addr, stop) = (addr.clone(), stop.clone());
+            std::thread::spawn(move || -> Result<u64, String> {
+                let timeout = Duration::from_secs(30);
+                let mut conn = Conn::connect(addr.as_str(), timeout).map_err(|e| e.to_string())?;
+                let mut answered = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    let (resp, close) =
+                        conn.request("GET", "/v1/models", b"").map_err(|e| e.to_string())?;
+                    if resp.status != 200 || close {
+                        let text = resp.text();
+                        return Err(format!("HTTP {} (close={close}): {text}", resp.status));
+                    }
+                    answered += 1;
+                }
+                Ok(answered)
+            })
+        })
+        .collect();
+
+    // Throughout the load, every worker stays up and none restarts.
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_secs(3) {
+        let (status, text) = one_shot(&addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        let text = text.as_str().unwrap_or_default();
+        let (up, restarts) = worker_health(text);
+        assert_eq!(up, [true, true], "a worker went down under keep-alive load:\n{text}");
+        assert_eq!(restarts, 0, "a healthy worker was restarted:\n{text}");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    stop.store(true, Ordering::SeqCst);
+    for client in clients {
+        let answered = client.join().unwrap().expect("a keep-alive client saw a non-200");
+        assert!(answered > 0, "a keep-alive client was never answered");
+    }
+
+    shutdown_and_join(&addr, handle);
+}
+
 #[test]
 fn blue_green_reload_under_live_traffic_never_errors() {
     let dir = temp_models_dir("reload");
@@ -288,13 +356,13 @@ fn blue_green_reload_under_live_traffic_never_errors() {
     let (addr, handle) = launch_fleet(fast_cfg(&dir, 2, 2));
 
     // Live traffic during the whole reload; every response must be 200.
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
     let feeder = {
         let addr = addr.clone();
         let stop = stop.clone();
         std::thread::spawn(move || -> Result<u64, String> {
             let mut sent = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+            while !stop.load(Ordering::SeqCst) {
                 let body = predict_body("german-lr", &sample_rows(1, 9000 + sent));
                 let (status, v) = try_one_shot(&addr, "POST", "/v1/predict", &body)?;
                 if status != 200 {
@@ -338,7 +406,7 @@ fn blue_green_reload_under_live_traffic_never_errors() {
 
     // Traffic keeps flowing after the cutover, then the feeder reports.
     std::thread::sleep(Duration::from_millis(300));
-    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    stop.store(true, Ordering::SeqCst);
     let sent = feeder.join().unwrap().expect("a request failed during the blue/green reload");
     assert!(sent >= 20, "only {sent} requests flowed during the reload window");
 

@@ -16,7 +16,7 @@
 //! * **Open loop** (`--open-loop`): each connection pipelines bursts of
 //!   `--burst` requests without waiting, deliberately outrunning the
 //!   server to exercise admission control. Connections the server closes
-//!   (request cap, drain) are reopened and unanswered requests resent.
+//!   (a drain, the connection cap) are reopened and unanswered requests resent.
 //!
 //! With `--allow-shed`, overload responses (429/503/504) are expected
 //! output rather than failures: the run exits 0 as long as every request
@@ -386,7 +386,7 @@ fn run_open_loop(args: &Args, model_id: &str, rows: &[Value], c: usize) -> Tally
             }
         }
         if closed || answered < burst.len() {
-            // The server closed the connection (request cap, drain) or a
+            // The server closed the connection (a drain, the connection cap) or a
             // response was lost with it: reopen and resend the rest.
             for &i in burst[answered..].iter().rev() {
                 pending.push_front(i);

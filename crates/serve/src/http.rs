@@ -10,10 +10,10 @@
 //! side), never a panic and never a guess.
 //!
 //! * [`read_request`] / [`write_response_with`] — the server's framing.
-//! * [`Server`] — accept loop, connection-worker pool, keep-alive,
-//!   answer-then-close on framing errors, per-connection request cap and
-//!   drain; `fairlens-serve` and the `fairlens-fleet` front door are both
-//!   a route fn handed to it.
+//! * [`Server`] — accept loop, one thread per connection, keep-alive,
+//!   answer-then-close on framing errors, a connection cap, an idle
+//!   timeout and drain; `fairlens-serve` and the `fairlens-fleet` front
+//!   door are both a route fn handed to it.
 //! * [`read_response`], [`Conn`], [`Client`], [`one_shot`] — the strict
 //!   client: a pipelining connection, a keep-alive pool that retries once
 //!   on a stale parked connection, and a fresh-connection probe.
@@ -32,8 +32,8 @@
 use std::cell::Cell;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fairlens_json::{parse, Value};
@@ -393,6 +393,13 @@ pub fn write_response_with(
     w.flush()
 }
 
+/// Write a route's `response`, announcing `close` in its `connection`
+/// header.
+fn send(w: &mut impl Write, response: &Response, close: bool) -> io::Result<()> {
+    let Response { status, content_type, retry_after, body } = response;
+    write_response_with(w, *status, content_type, *retry_after, body, close)
+}
+
 /// One response: what a route answers, and what the client reads back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -434,8 +441,8 @@ impl Response {
 // Server
 
 /// The socket read timeout: how often an idle keep-alive connection
-/// re-checks the shutdown flag, and the resolution of
-/// [`Limits::read_deadline`].
+/// re-checks the shutdown flag and [`IDLE_TIMEOUT`], and the resolution
+/// of [`Limits::read_deadline`].
 const POLL_TICK: Duration = Duration::from_millis(250);
 
 /// A [`Server`]'s drain trigger, cheap to clone into route state.
@@ -459,41 +466,41 @@ impl Shutdown {
     }
 }
 
-/// A bound HTTP/1.1 server: one blocking accept loop hands sockets to a
-/// fixed pool of connection workers over an mpsc channel (the receiver
-/// behind a mutex, the textbook `std` work queue). Each worker speaks
-/// keep-alive HTTP/1.1 on its socket and answers every request with the
-/// route fn, which also sees framing errors so it can count them.
+/// Most live connections; one more is answered `503 unavailable` and closed.
+const MAX_CONNECTIONS: usize = 256;
+
+/// A keep-alive connection with no request byte for this long is closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A bound HTTP/1.1 server: one blocking accept loop and one scoped
+/// thread per connection, so a silent or slow client holds only its own
+/// thread. Each thread speaks keep-alive HTTP/1.1 and answers every
+/// request with the route fn, which also sees framing errors and the
+/// [`MAX_CONNECTIONS`] refusal so it can count them.
 ///
-/// Drain ([`Shutdown::trigger`]): stop accepting, let the workers finish
-/// the connections they hold — in-flight requests are answered with
+/// Drain ([`Shutdown::trigger`]): stop accepting, let each connection
+/// thread finish — in-flight requests are answered with
 /// `connection: close`, idle keep-alives close at the next poll tick —
 /// join them, and return from [`Server::run`].
 pub struct Server {
     listener: TcpListener,
     shutdown: Shutdown,
     name: &'static str,
-    workers: usize,
     limits: Limits,
-    max_conn_requests: usize,
+    /// [`MAX_CONNECTIONS`] and [`IDLE_TIMEOUT`], which unit tests shrink.
+    max_connections: usize,
+    idle_timeout: Duration,
 }
 
 impl Server {
     /// Bind `addr` (port 0 picks an ephemeral port). `name` prefixes the
-    /// worker thread names and log lines; `max_conn_requests` closes a
-    /// connection after that many requests (0 = unlimited), so one
-    /// pipelining client cannot pin a worker forever.
-    pub fn bind(
-        addr: &str,
-        name: &'static str,
-        workers: usize,
-        limits: Limits,
-        max_conn_requests: usize,
-    ) -> io::Result<Self> {
+    /// connection thread names and log lines.
+    pub fn bind(addr: &str, name: &'static str, limits: Limits) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let shutdown =
             Shutdown { flag: Arc::new(AtomicBool::new(false)), wake: listener.local_addr()? };
-        Ok(Self { listener, shutdown, name, workers: workers.max(1), limits, max_conn_requests })
+        let (max_connections, idle_timeout) = (MAX_CONNECTIONS, IDLE_TIMEOUT);
+        Ok(Self { listener, shutdown, name, limits, max_connections, idle_timeout })
     }
 
     /// The bound address (resolves port 0).
@@ -511,45 +518,43 @@ impl Server {
     where
         F: Fn(Result<&Request, ServeError>) -> Response + Sync,
     {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Mutex::new(rx);
-        std::thread::scope(|scope| {
-            for i in 0..self.workers {
-                let (this, rx, route) = (&self, &rx, &route);
-                std::thread::Builder::new().name(format!("{}-{i}", self.name)).spawn_scoped(
-                    scope,
-                    move || loop {
-                        // The temporary guard drops before handling, so
-                        // only the dequeue is serialized.
-                        let stream = match rx.lock().expect("conn queue lock poisoned").recv() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        };
-                        this.serve_connection(stream, route);
-                    },
-                )?;
-            }
-            loop {
-                let stream = match self.listener.accept() {
-                    Ok((stream, _)) => stream,
-                    Err(_) if self.shutdown.is_triggered() => break,
-                    Err(e) => {
-                        eprintln!("[{}] accept error: {e}", self.name);
-                        continue;
-                    }
-                };
-                if self.shutdown.is_triggered() {
-                    // The self-connect wake (or a late client); stop accepting.
-                    break;
+        let live = AtomicUsize::new(0);
+        std::thread::scope(|scope| loop {
+            let mut stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(_) if self.shutdown.is_triggered() => break,
+                Err(e) => {
+                    eprintln!("[{}] accept error: {e}", self.name);
+                    continue;
                 }
-                let _ = tx.send(stream);
+            };
+            if self.shutdown.is_triggered() {
+                // The self-connect wake (or a late client); stop accepting.
+                break;
             }
-            drop(tx); // workers drain accepted connections, then exit
-            Ok(())
-        })
+            if live.load(Ordering::SeqCst) >= self.max_connections {
+                let full = format!("server holds {} connections", self.max_connections);
+                let refusal = route(Err(ServeError::new(ErrorKind::Unavailable, full)));
+                let _ = send(&mut stream, &refusal, true);
+                continue;
+            }
+            live.fetch_add(1, Ordering::SeqCst);
+            let (this, route, live) = (&self, &route, &live);
+            let spawned = std::thread::Builder::new()
+                .name(format!("{}-conn", self.name))
+                .spawn_scoped(scope, move || {
+                    this.serve_connection(stream, route);
+                    live.fetch_sub(1, Ordering::SeqCst);
+                });
+            if let Err(e) = spawned {
+                live.fetch_sub(1, Ordering::SeqCst);
+                eprintln!("[{}] cannot spawn a connection thread: {e}", self.name);
+            }
+        });
+        Ok(())
     }
 
-    /// Speak keep-alive HTTP on one socket until close, error, or drain.
+    /// Speak keep-alive HTTP on one socket until close, error, idle or drain.
     fn serve_connection<F>(&self, stream: TcpStream, route: &F)
     where
         F: Fn(Result<&Request, ServeError>) -> Response,
@@ -560,31 +565,24 @@ impl Server {
         let Ok(read_half) = stream.try_clone() else { return };
         let mut reader = BufReader::new(read_half);
         let mut writer = stream;
-        let mut served = 0usize;
         loop {
-            let abandon_when_idle = |started: bool| self.shutdown.is_triggered() && !started;
+            let idle_since = Instant::now();
+            let abandon_when_idle = |started: bool| {
+                !started
+                    && (self.shutdown.is_triggered() || idle_since.elapsed() >= self.idle_timeout)
+            };
             let (response, close) = match read_request(&mut reader, &self.limits, abandon_when_idle)
             {
                 Ok(ReadOutcome::Closed) => return,
                 // Framing errors poison the stream: answer, then close.
                 Err(e) => (route(Err(e)), true),
                 Ok(ReadOutcome::Complete(req)) => {
-                    served += 1;
                     let response = route(Ok(&req));
-                    // Draining connections close after the in-flight
-                    // answer, as do connections that hit the request cap
-                    // (the client reconnects).
-                    let close = req.close
-                        || self.shutdown.is_triggered()
-                        || (self.max_conn_requests > 0 && served >= self.max_conn_requests);
-                    (response, close)
+                    // Draining connections close after the in-flight answer.
+                    (response, req.close || self.shutdown.is_triggered())
                 }
             };
-            let Response { status, content_type, retry_after, body } = &response;
-            if write_response_with(&mut writer, *status, content_type, *retry_after, body, close)
-                .is_err()
-                || close
-            {
+            if send(&mut writer, &response, close).is_err() || close {
                 return;
             }
         }
@@ -752,9 +750,9 @@ impl Conn {
 /// such as the fleet router treat as "this server cannot answer".
 ///
 /// A pooled connection may have been closed by the server since it was
-/// parked (the request cap, a drain), so a failure on a *pooled*
+/// parked (the idle timeout, a drain), so a failure on a *pooled*
 /// connection is retried once on a fresh one; a failure on a fresh
-/// connection propagates. Otherwise every request-cap close would look
+/// connection propagates. Otherwise every idle-timeout close would look
 /// like a crash.
 pub struct Client {
     addr: SocketAddr,
@@ -1148,10 +1146,13 @@ mod tests {
 
     // --- the server loop, over real loopback sockets ---------------------
 
-    /// A server whose route echoes the request path, with `cap` as the
-    /// per-connection request cap.
-    fn echo_server(cap: usize) -> (SocketAddr, Shutdown, std::thread::JoinHandle<io::Result<()>>) {
-        let server = Server::bind("127.0.0.1:0", "test", 2, Limits::default(), cap).unwrap();
+    /// A server whose route echoes the request path; `tune` may shrink
+    /// its connection cap and idle timeout before it runs.
+    fn echo_server_with(
+        tune: impl FnOnce(&mut Server),
+    ) -> (SocketAddr, Shutdown, std::thread::JoinHandle<io::Result<()>>) {
+        let mut server = Server::bind("127.0.0.1:0", "test", Limits::default()).unwrap();
+        tune(&mut server);
         let (addr, shutdown) = (server.local_addr(), server.shutdown_handle());
         let handle = std::thread::spawn(move || {
             server.run(|req| match req {
@@ -1160,6 +1161,10 @@ mod tests {
             })
         });
         (addr, shutdown, handle)
+    }
+
+    fn echo_server() -> (SocketAddr, Shutdown, std::thread::JoinHandle<io::Result<()>>) {
+        echo_server_with(|_| {})
     }
 
     fn connect(addr: SocketAddr) -> Conn {
@@ -1171,10 +1176,19 @@ mod tests {
         handle.join().unwrap().unwrap();
     }
 
+    /// `GET /healthz` on a fresh connection must answer within one poll
+    /// tick, whatever the server's other connections are doing.
+    fn assert_healthz_answers_promptly(addr: SocketAddr) {
+        let t0 = Instant::now();
+        let resp = one_shot(addr, "GET", "/healthz", b"", POLL_TICK).expect("/healthz answered");
+        assert_eq!((resp.status, resp.text().as_ref()), (200, "/healthz"));
+        assert!(t0.elapsed() < POLL_TICK, "/healthz took {:?}", t0.elapsed());
+    }
+
     #[test]
     fn connect_falls_through_to_an_address_that_answers() {
         let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
-        let (live, shutdown, handle) = echo_server(0);
+        let (live, shutdown, handle) = echo_server();
         let mut conn = Conn::connect(&[dead, live][..], Duration::from_secs(5)).unwrap();
         assert_eq!(conn.request("GET", "/up", b"").unwrap().0.text(), "/up");
         stop(shutdown, handle);
@@ -1182,7 +1196,7 @@ mod tests {
 
     #[test]
     fn server_answers_pipelined_requests_in_order() {
-        let (addr, shutdown, handle) = echo_server(0);
+        let (addr, shutdown, handle) = echo_server();
         let mut conn = connect(addr);
         for path in ["/a", "/b", "/c"] {
             conn.write_request("GET", path, b"").unwrap();
@@ -1196,7 +1210,7 @@ mod tests {
 
     #[test]
     fn server_answers_a_framing_error_then_closes() {
-        let (addr, shutdown, handle) = echo_server(0);
+        let (addr, shutdown, handle) = echo_server();
         let mut conn = connect(addr);
         conn.write_raw(b"GARBAGE\r\n\r\nGET /never HTTP/1.1\r\n\r\n").unwrap();
         let (resp, close) = conn.read_response().unwrap();
@@ -1208,18 +1222,78 @@ mod tests {
     }
 
     #[test]
-    fn server_closes_at_the_request_cap() {
-        let (addr, shutdown, handle) = echo_server(2);
-        let mut conn = connect(addr);
-        assert!(!conn.request("GET", "/1", b"").unwrap().1);
-        assert!(conn.request("GET", "/2", b"").unwrap().1, "the capped answer announces the close");
-        assert!(conn.request("GET", "/3", b"").is_err());
+    fn silent_connections_do_not_starve_a_fresh_client() {
+        let (addr, shutdown, handle) = echo_server();
+        // Eight connections that never send a byte.
+        let silent: Vec<TcpStream> = (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        assert_healthz_answers_promptly(addr);
+        stop(shutdown, handle);
+        drop(silent);
+    }
+
+    #[test]
+    fn slow_drip_clients_do_not_delay_another_client() {
+        let (addr, shutdown, handle) = echo_server();
+        // Eight clients each part-way through a request, well inside the
+        // read deadline.
+        let mut drips: Vec<Conn> = (0..8).map(|_| connect(addr)).collect();
+        for conn in &mut drips {
+            conn.write_raw(b"GET /dr").unwrap();
+        }
+        std::thread::sleep(POLL_TICK);
+        for conn in &mut drips {
+            conn.write_raw(b"ip HTTP/1.1\r\n").unwrap();
+        }
+        assert_healthz_answers_promptly(addr);
+        // Each drip finishes its request and is answered in full.
+        for conn in &mut drips {
+            conn.write_raw(b"\r\n").unwrap();
+            let (resp, close) = conn.read_response().unwrap();
+            assert_eq!((resp.status, resp.text().as_ref(), close), (200, "/drip", false));
+        }
+        stop(shutdown, handle);
+    }
+
+    #[test]
+    fn connection_past_the_cap_gets_a_structured_503_and_a_close() {
+        let (addr, shutdown, handle) = echo_server_with(|s| s.max_connections = 2);
+        let mut held: Vec<Conn> = (0..2).map(|_| connect(addr)).collect();
+        for conn in &mut held {
+            assert_eq!(conn.request("GET", "/held", b"").unwrap().0.status, 200);
+        }
+        let (resp, close) = connect(addr).read_response().unwrap();
+        assert_eq!(resp.status, 503);
+        assert!(resp.text().contains("\"kind\":\"unavailable\""), "{}", resp.text());
+        assert!(close, "the refusal must announce the close");
+        // A closed connection frees its place once its thread ends.
+        drop(held.pop());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match connect(addr).request("GET", "/again", b"") {
+                Ok((resp, _)) if resp.status == 200 => break,
+                _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+                other => panic!("the freed place was never reused: {other:?}"),
+            }
+        }
+        stop(shutdown, handle);
+    }
+
+    #[test]
+    fn silent_keep_alive_closes_after_the_idle_timeout() {
+        let (addr, shutdown, handle) =
+            echo_server_with(|s| s.idle_timeout = Duration::from_millis(100));
+        let mut idle = connect(addr);
+        assert_eq!(idle.request("GET", "/warm", b"").unwrap().0.status, 200);
+        let t0 = Instant::now();
+        let err = idle.read_response().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(2), "closed after {:?}", t0.elapsed());
         stop(shutdown, handle);
     }
 
     #[test]
     fn shutdown_drains_idle_keep_alives_and_run_returns() {
-        let (addr, shutdown, handle) = echo_server(0);
+        let (addr, shutdown, handle) = echo_server();
         let mut idle = connect(addr);
         assert_eq!(idle.request("GET", "/warm", b"").unwrap().0.status, 200);
         let t0 = Instant::now();

@@ -10,9 +10,9 @@
 //!   `std::net`: the request parser (keep-alive, pipelining, hard
 //!   head/body limits, a total per-request read deadline that turns
 //!   slow-loris clients into 408s), the server loop this crate and the
-//!   fleet front door both run (accept, connection-worker pool, request
-//!   cap, drain), and the strict client the fleet router, loadgen and
-//!   the end-to-end suites share.
+//!   fleet front door both run (accept, one thread per connection, a
+//!   connection cap, an idle timeout, drain), and the strict client the
+//!   fleet router, loadgen and the end-to-end suites share.
 //! * [`registry`] — artifact scan at startup, lazy pipeline restore,
 //!   LRU eviction bounded by `--max-loaded`; also the supervision layer:
 //!   per-model circuit breakers, respawn of dead executors from their

@@ -8,13 +8,13 @@ use std::time::Duration;
 use fairlens_serve::{ServeConfig, ServeFaults, Server};
 
 const USAGE: &str = "\
-fairlens-serve [--addr HOST:PORT] [--models DIR] [--workers N]
+fairlens-serve [--addr HOST:PORT] [--models DIR]
                [--max-batch ROWS] [--batch-wait-ms MS]
                [--deadline-ms MS] [--max-loaded N] [--trace PATH]
                [--max-queue N] [--max-inflight N]
                [--breaker-threshold N] [--breaker-cooldown-ms MS]
-               [--read-deadline-ms MS] [--max-conn-requests N]
-               [--shadow-tolerance ULPS] [--record PATH]
+               [--read-deadline-ms MS] [--shadow-tolerance ULPS]
+               [--record PATH]
                [--monitor-window ROWS] [--monitor-pending N]
                [--drift-threshold METRIC=DELTA]... [--drift-warn N]
                [--drift-alert N] [--drift-recover N] [--drift-min-labeled N]
@@ -32,8 +32,8 @@ past either, requests shed with 429 + Retry-After. --breaker-threshold
 consecutive model failures open that model's circuit breaker for
 --breaker-cooldown-ms (rejections are 503 + Retry-After; a probe then
 re-closes it). --read-deadline-ms bounds how long a client may take to
-deliver one request (408 past it); --max-conn-requests closes a
-keep-alive connection after N requests (0 = unlimited).
+deliver one request (408 past it). Each connection has its own thread; a
+keep-alive idle for 30 s is closed, and a 257th live connection gets 503.
 
 Cross-verified deployment: POST /v1/shadow {\"model\", \"artifact\"}
 loads the candidate .flm at path \"artifact\" as the model's shadow (a
@@ -101,7 +101,6 @@ fn main() {
             }
             "--addr" => cfg.addr = parse_flag("--addr", value),
             "--models" => cfg.models_dir = parse_flag::<PathBuf>("--models", value),
-            "--workers" => cfg.workers = parse_flag("--workers", value),
             "--max-batch" => cfg.max_batch = parse_flag("--max-batch", value),
             "--batch-wait-ms" => {
                 cfg.batch_wait = Duration::from_millis(parse_flag("--batch-wait-ms", value));
@@ -122,9 +121,6 @@ fn main() {
             "--read-deadline-ms" => {
                 cfg.limits.read_deadline =
                     Duration::from_millis(parse_flag("--read-deadline-ms", value));
-            }
-            "--max-conn-requests" => {
-                cfg.max_conn_requests = parse_flag("--max-conn-requests", value);
             }
             "--trace" => cfg.trace = Some(parse_flag::<PathBuf>("--trace", value)),
             "--shadow-tolerance" => {

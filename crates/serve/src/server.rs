@@ -1,10 +1,10 @@
 //! The prediction server: routing, admission control, drain.
 //!
-//! Concurrency model: the shared [`http::Server`] accepts and runs a
-//! fixed pool of keep-alive connection workers; this module is the route
-//! fn it calls, and each worker blocks on the per-model executor for
-//! predictions. A total read deadline turns slow-loris requests into
-//! 408s (see [`crate::http`]).
+//! Concurrency model: the shared [`http::Server`] runs one keep-alive
+//! thread per connection; this module is the route fn it calls, and each
+//! connection thread blocks on the per-model executor for predictions. A
+//! total read deadline turns slow-loris requests into 408s (see
+//! [`crate::http`]).
 //!
 //! Overload protection happens in three layers, cheapest first:
 //!
@@ -26,7 +26,7 @@
 //!
 //! Graceful shutdown (`POST /v1/shutdown` — `std` has no signal API, so
 //! the drain trigger is a route): trigger the HTTP server's drain, which
-//! stops accepting and joins the connection workers once their
+//! stops accepting and joins the connection threads once their
 //! connections finish, then unload the registry (joining every model
 //! executor) and return `Ok(())`. In-flight requests complete and are
 //! answered; idle keep-alive connections close; new predict requests on
@@ -60,8 +60,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Directory of `.flm` artifacts.
     pub models_dir: PathBuf,
-    /// Connection-worker threads.
-    pub workers: usize,
     /// Batcher flush threshold, rows.
     pub max_batch: usize,
     /// Batcher flush window.
@@ -79,10 +77,6 @@ pub struct ServeConfig {
     pub breaker_threshold: u32,
     /// How long an open breaker rejects before allowing a probe.
     pub breaker_cooldown: Duration,
-    /// Requests served per connection before the server closes it, so a
-    /// single pipelining client cannot monopolize a worker forever
-    /// (0 = unlimited).
-    pub max_conn_requests: usize,
     /// Fault-injection plan for chaos runs (empty in production).
     pub faults: Arc<ServeFaults>,
     /// HTTP parsing limits (head/body size, read deadline).
@@ -122,7 +116,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:8484".into(),
             models_dir: PathBuf::from("models"),
-            workers: 4,
             max_batch: 64,
             batch_wait: Duration::from_millis(2),
             deadline: Duration::from_secs(5),
@@ -131,7 +124,6 @@ impl Default for ServeConfig {
             max_inflight: 64,
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_secs(1),
-            max_conn_requests: 1000,
             faults: Arc::new(ServeFaults::none()),
             limits: Limits::default(),
             trace: None,
@@ -149,7 +141,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// Shared state for connection workers.
+/// Shared state for connection threads.
 struct Ctx {
     registry: Registry,
     metrics: Arc<Metrics>,
@@ -246,8 +238,7 @@ impl Server {
             metrics.clone(),
             Arc::new(SystemClock),
         );
-        let http =
-            http::Server::bind(&cfg.addr, "serve", cfg.workers, cfg.limits, cfg.max_conn_requests)?;
+        let http = http::Server::bind(&cfg.addr, "serve", cfg.limits)?;
         Ok(Self {
             ctx: Arc::new(Ctx {
                 registry,
@@ -278,7 +269,7 @@ impl Server {
     }
 
     /// Serve until drained. Returns once a shutdown request has been
-    /// honoured: no accepting socket, no worker, no model executor left.
+    /// honoured: no accepting socket, no connection, no model executor left.
     pub fn run(self) -> std::io::Result<()> {
         eprintln!(
             "[serve] listening on {} ({} model(s), {} quarantined)",

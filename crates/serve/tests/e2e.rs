@@ -476,28 +476,6 @@ fn slow_loris_requests_are_cut_off_with_408() {
 }
 
 #[test]
-fn connection_request_cap_closes_after_the_announced_response() {
-    let dir = temp_models_dir("conncap");
-    export(&dir, "german-lr", "LR", 71);
-    let (addr, handle) = launch(&dir, |cfg| cfg.max_conn_requests = 2);
-
-    let mut client = Client::open(&addr);
-    let (status, _, meta) = client.request_meta("GET", "/healthz", "");
-    assert_eq!(status, 200);
-    assert!(!meta.close, "below the cap the connection stays open");
-    let (status, _, meta) = client.request_meta("GET", "/healthz", "");
-    assert_eq!(status, 200);
-    assert!(meta.close, "the capped response must announce the close");
-
-    // A fresh connection serves again — the cap is per connection.
-    let (status, _) = one_shot(&addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-
-    shutdown_and_join(&addr, handle);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn shadow_with_identical_candidate_stays_clean_and_promotes() {
     let dir = temp_models_dir("shadow-clean");
     let (fitted, schema) = export(&dir, "german-lr", "LR", 81);

@@ -188,7 +188,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     FAIRLENS_FAULT='panic:german-lr:1;hang:german-lr:2' \
     cargo run --release -p fairlens-serve -- \
         --addr 127.0.0.1:0 --models "$models_dir" \
-        --workers 8 --max-queue 2 --max-inflight 4 --deadline-ms 800 \
+        --max-queue 2 --max-inflight 4 --deadline-ms 800 \
         --breaker-threshold 2 --breaker-cooldown-ms 300 2> "$chaos_log" &
     chaos_pid=$!
     addr=""
@@ -498,13 +498,14 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     fb_ok="$(sed -n 's/^fairlens_feedback_total{model="german-lr",status="ok"} //p' "$smoke_out/monitor-skew-metrics.txt")"
     echo "    ok: live metrics bit-match offline recomputation, skewed labels drove drift to alerting (${fb_ok:-0} reports), replay reproduced the window"
 
-    echo "==> fleet smoke (3 workers, abort chaos + storm, respawn, bit-exact replay, blue/green reload)"
+    echo "==> fleet smoke (3 workers, abort chaos + storm, respawn, fault-free load, bit-exact replay, blue/green reload)"
     # A supervised 3-worker fleet with --replicas 2 takes an open-loop
     # storm while every worker carries an abort:german-lr:20 fault — so
     # whichever worker is the model's primary SIGABRTs mid-storm. The
     # storm must end with zero malformed answers, the supervisor must
     # respawn the crashed worker (fault-free) and return the fleet to
-    # full strength, a recording taken against a single-process server
+    # full strength, fault-free keep-alive load must restart no worker,
+    # a recording taken against a single-process server
     # must replay bit-exactly through the fleet, and a blue/green reload
     # under live no-shed traffic must complete with zero non-200s.
     cargo build --release -p fairlens-fleet --bin fairlens-fleet >/dev/null
@@ -596,7 +597,25 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     done
     [[ -n "$ready" ]] \
         || { echo "fleet smoke FAILED: fleet not back to full strength after respawn" >&2; exit 1; }
-    # Phase 3 — bit-exactness: the single-process recording must replay
+    # Phase 3 — fault-free keep-alive load: a closed loop of 8 connections
+    # that is NOT allowed to shed (loadgen exits non-zero on any non-200)
+    # must not make the supervisor restart a healthy worker.
+    sum_restarts() {
+        curl -s "http://$faddr/metrics" \
+            | sed -n 's/^fairlens_worker_restarts_total{worker="[0-9]*"} //p' \
+            | awk '{s+=$1} END {print s+0}'
+    }
+    restarts_before="$(sum_restarts)"
+    cargo run --release -p fairlens-serve --example loadgen -- \
+        --addr "$faddr" --model german-lr --requests 800 --conns 8 \
+        2> "$smoke_out/fleet-keepalive.log" \
+        || { echo "fleet smoke FAILED (fault-free keep-alive phase):" >&2
+             cat "$smoke_out/fleet-keepalive.log" >&2; exit 1; }
+    restarts_after="$(sum_restarts)"
+    [[ "$restarts_after" == "$restarts_before" ]] \
+        || { echo "fleet smoke FAILED: fault-free load restarted a worker" \
+                  "($restarts_before -> $restarts_after restarts)" >&2; exit 1; }
+    # Phase 4 — bit-exactness: the single-process recording must replay
     # identically through the post-failover fleet (replay compares score
     # bits, so this is exact, not approximate).
     cargo run --release -p fairlens-serve --example loadgen -- \
@@ -605,7 +624,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
              cat "$smoke_out/fleet-replay.log" >&2; exit 1; }
     grep -q 'REPLAY PASS' "$smoke_out/fleet-replay.log" \
         || { echo "fleet smoke FAILED: no REPLAY PASS marker" >&2; exit 1; }
-    # Phase 4 — blue/green reload under live traffic that is NOT allowed
+    # Phase 5 — blue/green reload under live traffic that is NOT allowed
     # to shed: a byte-identical candidate is staged as a shadow, soaks a
     # 16-comparison window, and cuts over while a closed loop hammers the
     # model; the loadgen exits non-zero on any non-200.
@@ -640,7 +659,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     grep -q '\[fleet\] drained, bye' "$fleet_log" \
         || { echo "fleet smoke FAILED: no drain marker in the fleet log" >&2; exit 1; }
     restarts="$(sed -n 's/^fairlens_worker_restarts_total{worker="[0-9]*"} //p' "$smoke_out/fleet-metrics.txt" | awk '{s+=$1} END {print s+0}')"
-    echo "    ok: storm survived an aborted primary (${restarts:-?} respawn(s)), replay bit-exact through the fleet, blue/green reload with zero non-200s, clean drain"
+    echo "    ok: storm survived an aborted primary (${restarts:-?} respawn(s)), no restart under fault-free load, replay bit-exact through the fleet, blue/green reload with zero non-200s, clean drain"
 fi
 
 echo "All checks passed."
