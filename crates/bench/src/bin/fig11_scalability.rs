@@ -142,7 +142,17 @@ fn overhead_cell(
     } else {
         lr_ms.map(|lr| (r.fit_ms - lr).max(0.0))
     };
-    ms.map_or_else(|| "-".into(), |ms| format!("{ms:.0}"))
+    ms.map_or_else(|| "-".into(), fmt_ms)
+}
+
+/// Whole milliseconds from 10 ms up; below that, three decimals, so a
+/// sub-millisecond adjuster (Hardt's `adjust` is ~35 µs) does not print 0.
+fn fmt_ms(ms: f64) -> String {
+    if ms < 10.0 {
+        format!("{ms:.3}")
+    } else {
+        format!("{ms:.0}")
+    }
 }
 
 /// Print one sweep's table: a header of sweep points, LR's absolute fit
@@ -171,10 +181,7 @@ fn print_table(
         .collect();
     print!("{:<6} {:<19}", "base", "LR (absolute)");
     for t in &lr_ms {
-        match t {
-            Some(ms) => print!(" {ms:>9.0}"),
-            None => print!(" {:>9}", "-"),
-        }
+        print!(" {:>9}", t.map_or_else(|| "-".into(), fmt_ms));
     }
     println!();
 
@@ -264,6 +271,15 @@ mod tests {
         // in LR's noise. Its row prints the `adjust` span, so it needs no
         // LR time at all.
         let cell = overhead_cell(&batch.records, &tracks, Stage::Post, "Hardt^EO", None);
-        assert!(cell.parse::<f64>().is_ok(), "adjust printed {cell:?}");
+        let ms: f64 = cell.parse().unwrap_or_else(|_| panic!("not a number: {cell:?}"));
+        assert!(ms > 0.0, "adjust printed {cell}");
+    }
+
+    #[test]
+    fn sub_ten_ms_cells_keep_their_fraction() {
+        assert_eq!(fmt_ms(0.035), "0.035");
+        assert_eq!(fmt_ms(9.9994), "9.999");
+        assert_eq!(fmt_ms(10.0), "10");
+        assert_eq!(fmt_ms(31_115.4), "31115");
     }
 }

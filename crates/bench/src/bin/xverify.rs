@@ -6,6 +6,8 @@
 //! * IRLS twice / GD twice — bit-exact per-iteration determinism;
 //! * IRLS vs GD — converged coefficients within a ULP bound;
 //! * GD vs Adam — shared logistic objective, converged value agreement;
+//! * fused vs unfused GD — the same logistic objective, every iterate bit
+//!   for bit;
 //! * exact vs WalkSAT MaxSAT — reached optimum on a small instance.
 //!
 //! `--perturb` injects a 1-ulp perturbation into a captured solver stream
@@ -17,7 +19,7 @@ use fairlens_bench::{CommonArgs, ExperimentSpec};
 use fairlens_model::LogisticOptions;
 use fairlens_optim::Objective;
 use fairlens_synth::{DatasetKind, ALL_DATASETS};
-use fairlens_xverify::pairs::{capture_lr, maxsat_agreement, optim_agreement, AGREEMENT_ULPS};
+use fairlens_xverify::pairs::{capture_lr, gd_fusion, maxsat_agreement, optim_agreement, AGREEMENT_ULPS};
 use fairlens_xverify::{bump, lockstep, Tolerance};
 use fairlens_solver::{Clause, Lit, MaxSatProblem};
 
@@ -77,6 +79,9 @@ fn main() {
     let x0 = vec![0.0; loss.dim()];
     let tol = Tolerance::Ulps(args.tolerance.unwrap_or(AGREEMENT_ULPS));
     let r = optim_agreement(&loss, &x0, tol);
+    eprintln!("[xverify] {}/fold{fold}: {r}", kind.name());
+    ok &= r.ok();
+    let r = gd_fusion(&loss, &x0, &Default::default(), Tolerance::Exact);
     eprintln!("[xverify] {}/fold{fold}: {r}", kind.name());
     ok &= r.ok();
 

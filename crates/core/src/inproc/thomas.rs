@@ -68,42 +68,68 @@ impl Thomas {
 ///
 /// The violation is computed on *probabilities* (not hard labels) so the
 /// penalty stays differentiable — the candidate-search trick Thomas et al.
-/// use with their gradient-based search.
+/// use with their gradient-based search. One GEMV of margins per evaluation
+/// feeds both the loss and the soft group rates.
 struct PenalisedLoss<'a> {
     loss: LogisticLoss<'a>,
     x: &'a Matrix,
     y: &'a [u8],
     s: &'a [u8],
-    notion: ThomasNotion,
     mu: f64,
+    /// Per gap: the label filter and the row counts of groups 0 and 1
+    /// under it (at least 1), counted once.
+    cells: Vec<(Option<u8>, f64, f64)>,
 }
 
-impl PenalisedLoss<'_> {
-    /// Soft group rates: mean σ(z) over a row subset; returns (rate, d/dz
-    /// coefficients are handled by the caller).
-    fn soft_gaps(&self, params: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        // returns per-row p_i and the vector of gap values
-        let d = self.x.cols();
-        let (w, b) = params.split_at(d);
-        let p: Vec<f64> = (0..self.x.rows())
-            .map(|i| vector::sigmoid(vector::dot(self.x.row(i), w) + b[0]))
-            .collect();
-        let gaps = match self.notion {
-            ThomasNotion::DemographicParity => {
-                vec![group_mean(&p, self.s, 0, None, self.y) - group_mean(&p, self.s, 1, None, self.y)]
-            }
-            ThomasNotion::EqualizedOdds => vec![
-                group_mean(&p, self.s, 0, Some(1), self.y) - group_mean(&p, self.s, 1, Some(1), self.y),
-                group_mean(&p, self.s, 0, Some(0), self.y) - group_mean(&p, self.s, 1, Some(0), self.y),
-            ],
-            ThomasNotion::EqualOpportunity => vec![
-                group_mean(&p, self.s, 0, Some(1), self.y) - group_mean(&p, self.s, 1, Some(1), self.y),
-            ],
-            ThomasNotion::PredictiveEquality => vec![
-                group_mean(&p, self.s, 0, Some(0), self.y) - group_mean(&p, self.s, 1, Some(0), self.y),
-            ],
+impl<'a> PenalisedLoss<'a> {
+    fn new(x: &'a Matrix, y: &'a [u8], s: &'a [u8], notion: ThomasNotion, mu: f64, l2: f64) -> Self {
+        let filters: &[Option<u8>] = match notion {
+            ThomasNotion::DemographicParity => &[None],
+            ThomasNotion::EqualizedOdds => &[Some(1), Some(0)],
+            ThomasNotion::EqualOpportunity => &[Some(1)],
+            ThomasNotion::PredictiveEquality => &[Some(0)],
         };
-        (p, gaps)
+        let count = |group: u8, yf: Option<u8>| -> f64 {
+            (0..y.len()).filter(|&i| s[i] == group && yf.is_none_or(|v| y[i] == v)).count() as f64
+        };
+        let cells =
+            filters.iter().map(|&yf| (yf, count(0, yf).max(1.0), count(1, yf).max(1.0))).collect();
+        Self { loss: LogisticLoss::new(x, y, l2), x, y, s, mu, cells }
+    }
+
+    /// Soft group-rate gaps from the per-row probabilities `p`, one per
+    /// entry of `cells`.
+    fn soft_gaps(&self, p: &[f64]) -> Vec<f64> {
+        self.cells
+            .iter()
+            .map(|&(yf, _, _)| group_mean(p, self.s, 0, yf, self.y) - group_mean(p, self.s, 1, yf, self.y))
+            .collect()
+    }
+
+    fn penalty(&self, gaps: &[f64]) -> f64 {
+        self.mu * gaps.iter().map(|g| g * g).sum::<f64>()
+    }
+
+    /// Adds the penalty's gradient to the loss gradient `g`.
+    fn add_penalty_gradient(&self, p: &[f64], gaps: &[f64], g: &mut [f64]) {
+        let d = self.x.cols();
+        for (gap, &(yf, c0, c1)) in gaps.iter().zip(self.cells.iter()) {
+            for (i, &pi) in p.iter().enumerate() {
+                if yf.is_some_and(|v| self.y[i] != v) {
+                    continue;
+                }
+                // d gap / d z_i = ±σ'(z_i)/|group|
+                let dgdz = match self.s[i] {
+                    0 => pi * (1.0 - pi) / c0,
+                    _ => -pi * (1.0 - pi) / c1,
+                };
+                let coeff = self.mu * 2.0 * gap * dgdz;
+                if coeff != 0.0 {
+                    vector::axpy(coeff, self.x.row(i), &mut g[..d]);
+                    g[d] += coeff;
+                }
+            }
+        }
     }
 }
 
@@ -136,49 +162,25 @@ impl Objective for PenalisedLoss<'_> {
     }
 
     fn value(&self, params: &[f64]) -> f64 {
-        let (_, gaps) = self.soft_gaps(params);
-        self.loss.value(params) + self.mu * gaps.iter().map(|g| g * g).sum::<f64>()
+        let mut p = self.loss.margins(params);
+        let loss = self.loss.value_at_margins(params, &mut p);
+        loss + self.penalty(&self.soft_gaps(&p))
     }
 
     fn gradient(&self, params: &[f64]) -> Vec<f64> {
-        let d = self.x.cols();
-        let mut g = self.loss.gradient(params);
-        let (p, gaps) = self.soft_gaps(params);
-
-        // counts per (group, y_filter) cell
-        let count = |group: u8, yf: Option<u8>| -> f64 {
-            (0..p.len())
-                .filter(|&i| self.s[i] == group && yf.is_none_or(|v| self.y[i] == v))
-                .count() as f64
-        };
-        let filters: Vec<Option<u8>> = match self.notion {
-            ThomasNotion::DemographicParity => vec![None],
-            ThomasNotion::EqualizedOdds => vec![Some(1), Some(0)],
-            ThomasNotion::EqualOpportunity => vec![Some(1)],
-            ThomasNotion::PredictiveEquality => vec![Some(0)],
-        };
-        for (gap, yf) in gaps.iter().zip(filters.iter()) {
-            let c0 = count(0, *yf).max(1.0);
-            let c1 = count(1, *yf).max(1.0);
-            for (i, &pi) in p.iter().enumerate() {
-                if let Some(v) = yf {
-                    if self.y[i] != *v {
-                        continue;
-                    }
-                }
-                // d gap / d z_i = ±σ'(z_i)/|group|
-                let dgdz = match self.s[i] {
-                    0 => pi * (1.0 - pi) / c0,
-                    _ => -pi * (1.0 - pi) / c1,
-                };
-                let coeff = self.mu * 2.0 * gap * dgdz;
-                if coeff != 0.0 {
-                    vector::axpy(coeff, self.x.row(i), &mut g[..d]);
-                    g[d] += coeff;
-                }
-            }
-        }
+        let p = self.loss.probs(params);
+        let mut g = self.loss.gradient_at_probs(params, &p);
+        self.add_penalty_gradient(&p, &self.soft_gaps(&p), &mut g);
         g
+    }
+
+    fn value_grad(&self, params: &[f64]) -> (f64, Vec<f64>) {
+        let mut p = self.loss.margins(params);
+        let loss = self.loss.value_at_margins(params, &mut p);
+        let gaps = self.soft_gaps(&p);
+        let mut g = self.loss.gradient_at_probs(params, &p);
+        self.add_penalty_gradient(&p, &gaps, &mut g);
+        (loss + self.penalty(&gaps), g)
     }
 }
 
@@ -245,14 +247,7 @@ impl InProcessor for Thomas {
         let mut fallback_violation = f64::INFINITY;
 
         for &mu in &self.penalties {
-            let pl = PenalisedLoss {
-                loss: LogisticLoss::new(&x1, d1.labels(), 1e-3),
-                x: &x1,
-                y: d1.labels(),
-                s: d1.sensitive(),
-                notion: self.notion,
-                mu,
-            };
+            let pl = PenalisedLoss::new(&x1, d1.labels(), d1.sensitive(), self.notion, mu, 1e-3);
             let res = gd::minimize(
                 &pl,
                 &vec![0.0; pl.dim()],
@@ -343,24 +338,77 @@ mod tests {
         }
     }
 
+    const NOTIONS: [ThomasNotion; 4] = [
+        ThomasNotion::DemographicParity,
+        ThomasNotion::EqualizedOdds,
+        ThomasNotion::EqualOpportunity,
+        ThomasNotion::PredictiveEquality,
+    ];
+
     #[test]
     fn penalty_gradient_matches_numeric() {
         let d = biased(200, 5);
         let enc = Encoder::fit(&d, true);
         let x = enc.transform(&d).matrix;
-        let pl = PenalisedLoss {
-            loss: LogisticLoss::new(&x, d.labels(), 0.01),
-            x: &x,
-            y: d.labels(),
-            s: d.sensitive(),
-            notion: ThomasNotion::EqualizedOdds,
-            mu: 3.0,
-        };
-        let params: Vec<f64> = (0..pl.dim()).map(|i| 0.1 * (i as f64 - 1.0)).collect();
-        let ag = pl.gradient(&params);
-        let ng = fairlens_optim::numeric_gradient(|p| pl.value(p), &params, 1e-6);
-        for (a, n) in ag.iter().zip(ng.iter()) {
-            assert!((a - n).abs() < 1e-4, "analytic {a} vs numeric {n}");
+        let params: Vec<f64> = (0..x.cols() + 1).map(|i| 0.1 * (i as f64 - 1.0)).collect();
+        for notion in NOTIONS {
+            for mu in [0.0, 3.0, 256.0] {
+                let pl = PenalisedLoss::new(&x, d.labels(), d.sensitive(), notion, mu, 0.01);
+                let ag = pl.gradient(&params);
+                let ng = fairlens_optim::numeric_gradient(|p| pl.value(p), &params, 1e-6);
+                for (a, n) in ag.iter().zip(ng.iter()) {
+                    assert!(
+                        (a - n).abs() < 1e-4 * n.abs().max(1.0),
+                        "{notion:?} μ={mu}: analytic {a} vs numeric {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The fused evaluation returns exactly the bits of the separate
+        /// value and gradient, for every notion.
+        #[test]
+        fn value_grad_is_bit_identical_to_value_and_gradient(
+            seed in 0u64..1_000,
+            n in 20usize..200,
+            mu in 0.0f64..300.0,
+            params in proptest::prop::collection::vec(-3.0f64..3.0, 3),
+        ) {
+            let d = biased(n, seed);
+            let x = Encoder::fit(&d, true).transform(&d).matrix;
+            let params = &params[..x.cols() + 1];
+            for notion in NOTIONS {
+                let pl = PenalisedLoss::new(&x, d.labels(), d.sensitive(), notion, mu, 1e-3);
+                let (v, g) = pl.value_grad(params);
+                proptest::prop_assert_eq!(v.to_bits(), pl.value(params).to_bits());
+                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&g), bits(&pl.gradient(params)));
+            }
+        }
+    }
+
+    /// Every candidate of the μ ladder follows the pre-fusion GD loop bit
+    /// for bit.
+    #[test]
+    fn penalty_ladder_matches_the_unfused_loop() {
+        let d = biased(600, 9);
+        let x = Encoder::fit(&d, true).transform(&d).matrix;
+        let opts = gd::GdOptions { max_iter: 250, ..Default::default() };
+        for notion in NOTIONS {
+            for &mu in &Thomas::new(notion).penalties {
+                let pl = PenalisedLoss::new(&x, d.labels(), d.sensitive(), notion, mu, 1e-3);
+                let r = fairlens_xverify::pairs::gd_fusion(
+                    &pl,
+                    &vec![0.0; pl.dim()],
+                    &opts,
+                    fairlens_xverify::Tolerance::Exact,
+                );
+                assert!(r.ok() && r.checkpoints > 0, "{notion:?} μ={mu}: {r}");
+            }
         }
     }
 

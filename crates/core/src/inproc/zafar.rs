@@ -65,63 +65,61 @@ impl Zafar {
     }
 }
 
-/// Signed covariance constraint `sign · cov(θ) − tol ≤ 0`. With per-tuple
+/// Signed covariance constraint `sign · cov(θ) − tol ≤ 0`, with per-tuple
 /// multipliers `m` (all ones for DP; misclassification masks for EO).
-struct CovConstraint<'a> {
-    x: &'a Matrix,
-    coef: Vec<f64>, // coef_i = m_i (S_i − S̄) / N · sign
+///
+/// The covariance is linear in `θ = [w, b]`: `cov(θ) = a·θ` with
+/// `a = Σ_i coef_i·[x_i, 1]` and `coef_i = m_i (S_i − S̄) / N · sign`.
+/// `a` is built once, so the value costs one `dot` and the gradient is `a`
+/// itself, bit-identical to rescanning the rows. The value sums in another
+/// order than a row scan `Σ_i coef_i (x_i·w + b)`; the two differ by at most
+/// `1e-12 · Σ_i |coef_i| (|x_i·w| + |b|)`, pinned by a test against that
+/// scan.
+struct CovConstraint {
+    a: Vec<f64>,
     tol: f64,
 }
 
-impl CovConstraint<'_> {
-    fn cov(&self, params: &[f64]) -> f64 {
-        let d = self.x.cols();
-        let (w, b) = params.split_at(d);
-        let b = b[0];
-        let mut acc = 0.0;
-        for (i, &c) in self.coef.iter().enumerate() {
+impl CovConstraint {
+    fn new(x: &Matrix, coef: &[f64], tol: f64) -> Self {
+        let d = x.cols();
+        let mut a = vec![0.0; d + 1];
+        for (i, &c) in coef.iter().enumerate() {
             if c != 0.0 {
-                acc += c * (vector::dot(self.x.row(i), w) + b);
+                vector::axpy(c, x.row(i), &mut a[..d]);
+                a[d] += c;
             }
         }
-        acc
+        Self { a, tol }
     }
 }
 
-impl Objective for CovConstraint<'_> {
+impl Objective for CovConstraint {
     fn dim(&self) -> usize {
-        self.x.cols() + 1
+        self.a.len()
     }
     fn value(&self, params: &[f64]) -> f64 {
-        self.cov(params) - self.tol
+        vector::dot(&self.a, params) - self.tol
     }
     fn gradient(&self, _params: &[f64]) -> Vec<f64> {
-        // Linear: gradient independent of θ.
-        let d = self.x.cols();
-        let mut g = vec![0.0; d + 1];
-        for (i, &c) in self.coef.iter().enumerate() {
-            if c != 0.0 {
-                vector::axpy(c, self.x.row(i), &mut g[..d]);
-                g[d] += c;
-            }
-        }
-        g
+        self.a.clone()
     }
 }
 
-/// The squared covariance as a minimisation objective (for DpAcc).
-struct CovSquared<'a>(CovConstraint<'a>);
+/// The squared covariance as a minimisation objective (for DpAcc), over a
+/// covariance constraint built with zero tolerance (so its value is `cov`).
+struct CovSquared<C>(C);
 
-impl Objective for CovSquared<'_> {
+impl<C: Objective> Objective for CovSquared<C> {
     fn dim(&self) -> usize {
         self.0.dim()
     }
     fn value(&self, params: &[f64]) -> f64 {
-        let c = self.0.cov(params);
+        let c = self.0.value(params);
         c * c
     }
     fn gradient(&self, params: &[f64]) -> Vec<f64> {
-        let c = self.0.cov(params);
+        let c = self.0.value(params);
         let mut g = self.0.gradient(params);
         vector::scale(2.0 * c, &mut g);
         g
@@ -180,14 +178,12 @@ impl Zafar {
             .map(|c| sign * c / n)
             .collect()
     }
-}
 
-impl InProcessor for Zafar {
-    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError> {
-        let encoder = Encoder::fit(train, false);
-        let x = encoder.transform(train).matrix;
+    /// Fit the parameters on the encoded `x`, building each covariance
+    /// constraint as `cov(coef, tol)`.
+    fn solve<C: Objective>(&self, train: &Dataset, x: &Matrix, cov: impl Fn(&[f64], f64) -> C) -> Vec<f64> {
         let y = train.labels();
-        let loss = LogisticLoss::new(&x, y, self.l2);
+        let loss = LogisticLoss::new(x, y, self.l2);
         let dim = loss.dim();
 
         // Warm start from the unconstrained optimum.
@@ -202,10 +198,10 @@ impl InProcessor for Zafar {
             ..Default::default()
         };
 
-        let params = match self.variant {
+        match self.variant {
             ZafarVariant::DpFair => {
-                let pos = CovConstraint { x: &x, coef: Self::dp_coefs(train, 1.0), tol: self.cov_tol };
-                let neg = CovConstraint { x: &x, coef: Self::dp_coefs(train, -1.0), tol: self.cov_tol };
+                let pos = cov(&Self::dp_coefs(train, 1.0), self.cov_tol);
+                let neg = cov(&Self::dp_coefs(train, -1.0), self.cov_tol);
                 minimize_augmented_lagrangian(
                     &loss,
                     &[&pos as &dyn Objective, &neg as &dyn Objective],
@@ -216,11 +212,7 @@ impl InProcessor for Zafar {
             }
             ZafarVariant::DpAcc => {
                 let cap = LossCap { loss: &loss, cap: (1.0 + self.gamma) * warm.value };
-                let cov2 = CovSquared(CovConstraint {
-                    x: &x,
-                    coef: Self::dp_coefs(train, 1.0),
-                    tol: 0.0,
-                });
+                let cov2 = CovSquared(cov(&Self::dp_coefs(train, 1.0), 0.0));
                 minimize_augmented_lagrangian(
                     &cov2,
                     &[&cap as &dyn Objective],
@@ -250,8 +242,8 @@ impl InProcessor for Zafar {
                         })
                         .collect();
                     let neg_coef: Vec<f64> = coef.iter().map(|c| -c).collect();
-                    let pos = CovConstraint { x: &x, coef, tol: self.cov_tol };
-                    let neg = CovConstraint { x: &x, coef: neg_coef, tol: self.cov_tol };
+                    let pos = cov(&coef, self.cov_tol);
+                    let neg = cov(&neg_coef, self.cov_tol);
                     params = minimize_augmented_lagrangian(
                         &loss,
                         &[&pos as &dyn Objective, &neg as &dyn Objective],
@@ -262,7 +254,15 @@ impl InProcessor for Zafar {
                 }
                 params
             }
-        };
+        }
+    }
+}
+
+impl InProcessor for Zafar {
+    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError> {
+        let encoder = Encoder::fit(train, false);
+        let x = encoder.transform(train).matrix;
+        let params = self.solve(train, &x, |coef, tol| CovConstraint::new(&x, coef, tol));
 
         if params.iter().any(|p| !p.is_finite()) {
             return Err(CoreError::Infeasible("Zafar solve produced non-finite parameters".into()));
@@ -279,7 +279,159 @@ impl InProcessor for Zafar {
 mod tests {
     use super::*;
     use fairlens_metrics::{di_star, disparate_impact, tpr_balance};
+    use fairlens_optim::numeric_gradient;
+    use fairlens_synth::DatasetKind;
+    use fairlens_xverify::{pairs, Tolerance};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The covariance constraint as it was before `a` was materialised:
+    /// every value and gradient rescans the rows. The oracle
+    /// [`CovConstraint`] is held to.
+    struct RowScanCov<'a> {
+        x: &'a Matrix,
+        coef: Vec<f64>,
+        tol: f64,
+    }
+
+    impl RowScanCov<'_> {
+        fn cov(&self, params: &[f64]) -> f64 {
+            let (w, b) = params.split_at(self.x.cols());
+            let mut acc = 0.0;
+            for (i, &c) in self.coef.iter().enumerate() {
+                if c != 0.0 {
+                    acc += c * (vector::dot(self.x.row(i), w) + b[0]);
+                }
+            }
+            acc
+        }
+    }
+
+    impl Objective for RowScanCov<'_> {
+        fn dim(&self) -> usize {
+            self.x.cols() + 1
+        }
+        fn value(&self, params: &[f64]) -> f64 {
+            self.cov(params) - self.tol
+        }
+        fn gradient(&self, _params: &[f64]) -> Vec<f64> {
+            let d = self.x.cols();
+            let mut g = vec![0.0; d + 1];
+            for (i, &c) in self.coef.iter().enumerate() {
+                if c != 0.0 {
+                    vector::axpy(c, self.x.row(i), &mut g[..d]);
+                    g[d] += c;
+                }
+            }
+            g
+        }
+    }
+
+    fn row_scan<'a>(x: &'a Matrix) -> impl Fn(&[f64], f64) -> RowScanCov<'a> {
+        move |coef, tol| RowScanCov { x, coef: coef.to_vec(), tol }
+    }
+
+    fn design() -> impl Strategy<Value = (Matrix, Vec<f64>, Vec<f64>)> {
+        (2usize..80, 1usize..6).prop_flat_map(|(n, d)| {
+            (
+                prop::collection::vec(-3.0f64..3.0, n * d),
+                prop::collection::vec(-1.0f64..1.0, n),
+                prop::collection::vec(-4.0f64..4.0, d + 1),
+            )
+                .prop_map(move |(data, coef, theta)| (Matrix::from_vec(n, d, data), coef, theta))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The materialised constraint has the row scan's gradient bits, and
+        /// its value is within `1e-12 · Σ|coef_i| (|x_i·w| + |b|)`.
+        #[test]
+        fn materialised_cov_is_ulp_bounded_against_the_row_scan((x, mut coef, theta) in design()) {
+            for c in coef.iter_mut().step_by(3) {
+                *c = 0.0; // EO masks zero most rows
+            }
+            let fast = CovConstraint::new(&x, &coef, 0.25);
+            let slow = RowScanCov { x: &x, coef: coef.clone(), tol: 0.25 };
+            let (gf, gs) = (fast.gradient(&theta), slow.gradient(&theta));
+            prop_assert!(gf.iter().zip(&gs).all(|(a, b)| a.to_bits() == b.to_bits()));
+            let (w, b) = theta.split_at(x.cols());
+            let scale: f64 = coef
+                .iter()
+                .enumerate()
+                .map(|(i, c)| c.abs() * (vector::dot(x.row(i), w).abs() + b[0].abs()))
+                .sum();
+            let gap = (fast.value(&theta) - slow.value(&theta)).abs();
+            prop_assert!(gap <= 1e-12 * scale, "gap {gap:e} vs scale {scale:e}");
+        }
+    }
+
+    #[test]
+    fn cov_gradients_match_numeric() {
+        let d = biased(300, 11);
+        let x = Encoder::fit(&d, false).transform(&d).matrix;
+        let coef = Zafar::dp_coefs(&d, 1.0);
+        let params: Vec<f64> = (0..x.cols() + 1).map(|i| 0.3 - 0.2 * i as f64).collect();
+        let cons = CovConstraint::new(&x, &coef, 1e-3);
+        let sq = CovSquared(CovConstraint::new(&x, &coef, 0.0));
+        for obj in [&cons as &dyn Objective, &sq] {
+            let ag = obj.gradient(&params);
+            let ng = numeric_gradient(|p| obj.value(p), &params, 1e-6);
+            for (a, n) in ag.iter().zip(&ng) {
+                assert!((a - n).abs() < 1e-6 * n.abs().max(1.0), "analytic {a} vs numeric {n}");
+            }
+        }
+    }
+
+    /// Whole AL solves over the row-scan constraints follow the pre-fusion
+    /// GD loop bit for bit: DpFair's loss with two covariance constraints,
+    /// and DpAcc's squared covariance under a loss cap.
+    #[test]
+    fn al_solves_match_the_unfused_loop() {
+        let d = biased(400, 13);
+        let x = Encoder::fit(&d, false).transform(&d).matrix;
+        let loss = LogisticLoss::new(&x, d.labels(), 1e-3);
+        let warm = gd::minimize(&loss, &vec![0.0; loss.dim()], &gd::GdOptions { max_iter: 300, ..Default::default() });
+        let opts = AugLagOptions { feas_tol: 1e-4, ..Default::default() };
+
+        let pos = RowScanCov { x: &x, coef: Zafar::dp_coefs(&d, 1.0), tol: 1e-3 };
+        let neg = RowScanCov { x: &x, coef: Zafar::dp_coefs(&d, -1.0), tol: 1e-3 };
+        let r = pairs::al_fusion(&loss, &[&pos, &neg], &warm.x, &opts, Tolerance::Exact);
+        assert!(r.ok() && r.checkpoints > 100, "{r}");
+
+        let cap = LossCap { loss: &loss, cap: 1.1 * warm.value };
+        let cov2 = CovSquared(RowScanCov { x: &x, coef: Zafar::dp_coefs(&d, 1.0), tol: 0.0 });
+        let r = pairs::al_fusion(&cov2, &[&cap], &warm.x, &opts, Tolerance::Exact);
+        assert!(r.ok() && r.checkpoints > 0, "{r}");
+    }
+
+    /// Fits with the materialised constraint stay within 1e-9 in
+    /// probability of fits with the row scan, and flip no prediction, on
+    /// COMPAS, Adult and German draws.
+    #[test]
+    fn materialised_fits_track_the_row_scan_fits() {
+        for kind in [DatasetKind::Compas, DatasetKind::Adult, DatasetKind::German] {
+            let train = kind.generate(600, 31);
+            let test = kind.generate(400, 32);
+            let encoder = Encoder::fit(&train, false);
+            let x = encoder.transform(&train).matrix;
+            let xt = encoder.transform(&test).matrix;
+            for variant in [ZafarVariant::DpFair, ZafarVariant::DpAcc, ZafarVariant::EoFair] {
+                let z = Zafar::new(variant);
+                let fit = |params: Vec<f64>| {
+                    let (w, b) = params.split_at(x.cols());
+                    LogisticRegression::from_params(w.to_vec(), b[0])
+                };
+                let fast = fit(z.solve(&train, &x, |coef, tol| CovConstraint::new(&x, coef, tol)));
+                let slow = fit(z.solve(&train, &x, row_scan(&x)));
+                for (pf, ps) in fast.predict_proba(&xt).iter().zip(slow.predict_proba(&xt)) {
+                    assert!((pf - ps).abs() <= 1e-9, "{} {variant:?}: {pf} vs {ps}", kind.name());
+                }
+                assert_eq!(fast.predict(&xt), slow.predict(&xt), "{} {variant:?}", kind.name());
+            }
+        }
+    }
 
     /// Biased data: x predicts y, but s leaks into y strongly.
     fn biased(n: usize, seed: u64) -> Dataset {

@@ -67,15 +67,47 @@ fn fast_cfg(dir: &Path, workers: usize, replicas: usize) -> FleetConfig {
     }
 }
 
-/// Launch a fleet; returns its address and the thread running `run`.
-fn launch_fleet(cfg: FleetConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+/// A running fleet, drained when it goes out of scope: a test that panics
+/// unwinds through the guard, which shuts the fleet down so that it reaps
+/// its `fairlens-serve` workers instead of leaving them running after the
+/// test binary exits.
+struct FleetGuard {
+    addr: String,
+    handle: Option<std::thread::JoinHandle<std::io::Result<()>>>,
+}
+
+impl FleetGuard {
+    /// The strict shutdown a passing test ends with: the drain answers 200
+    /// and `run` returns `Ok`.
+    fn shutdown(mut self) {
+        shutdown_and_join(&self.addr, self.handle.take().unwrap());
+    }
+}
+
+impl Drop for FleetGuard {
+    fn drop(&mut self) {
+        let Some(handle) = self.handle.take() else { return };
+        // Best effort and panic-free: this runs while a failure unwinds.
+        let _ = try_one_shot(&self.addr, "POST", "/v1/shutdown", "");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !handle.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        if handle.is_finished() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Launch a fleet and wait until it is ready.
+fn launch_fleet(cfg: FleetConfig) -> FleetGuard {
     let fleet = Fleet::bind(cfg).unwrap();
     let addr = fleet.local_addr().to_string();
-    let handle = std::thread::spawn(move || fleet.run());
+    let guard = FleetGuard { addr, handle: Some(std::thread::spawn(move || fleet.run())) };
     // The fleet answers immediately, but wait until every worker is
     // routable so placement is stable before the test starts aiming.
-    wait_ready(&addr, Duration::from_secs(30));
-    (addr, handle)
+    wait_ready(&guard.addr, Duration::from_secs(30));
+    guard
 }
 
 fn wait_ready(addr: &str, timeout: Duration) {
@@ -106,7 +138,8 @@ fn routes_health_fleet_models_and_predicts() {
     let dir = temp_models_dir("routes");
     export(&dir, "german-lr", "LR", 11);
     export(&dir, "german-alt", "LR", 13);
-    let (addr, handle) = launch_fleet(fast_cfg(&dir, 2, 2));
+    let fleet = launch_fleet(fast_cfg(&dir, 2, 2));
+    let addr = fleet.addr.clone();
 
     let (status, v) = one_shot(&addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
@@ -156,7 +189,7 @@ fn routes_health_fleet_models_and_predicts() {
     let text = text.as_str().unwrap_or_default();
     assert!(text.contains("fairlens_fleet_requests_total"), "fleet metrics render");
 
-    shutdown_and_join(&addr, handle);
+    fleet.shutdown();
 }
 
 #[test]
@@ -164,7 +197,8 @@ fn sigkill_primary_mid_stream_is_invisible_and_bit_exact() {
     let dir = temp_models_dir("failover");
     export(&dir, "german-lr", "LR", 11);
     let (ref_addr, ref_handle) = launch(&dir, |_| {});
-    let (addr, handle) = launch_fleet(fast_cfg(&dir, 3, 2));
+    let fleet = launch_fleet(fast_cfg(&dir, 3, 2));
+    let addr = fleet.addr.clone();
 
     // Aim: the primary replica's pid for the model under test.
     let (_, v) = one_shot(&addr, "GET", "/v1/fleet", "");
@@ -238,7 +272,7 @@ fn sigkill_primary_mid_stream_is_invisible_and_bit_exact() {
     assert_eq!(status, 200);
     assert_eq!(scores_of(&vf), scores_of(&vr));
 
-    shutdown_and_join(&addr, handle);
+    fleet.shutdown();
     shutdown_and_join(&ref_addr, ref_handle);
 }
 
@@ -250,7 +284,8 @@ fn abort_fault_respawns_clean_and_traffic_survives() {
     // Worker 0 aborts on its 5th german-lr request — first incarnation
     // only; the respawn must come back without the fault.
     cfg.worker_faults = vec![(0, "abort:german-lr:5".into())];
-    let (addr, handle) = launch_fleet(cfg);
+    let fleet = launch_fleet(cfg);
+    let addr = fleet.addr.clone();
 
     for i in 0..40u64 {
         let body = predict_body("german-lr", &sample_rows(1, 500 + i));
@@ -262,7 +297,7 @@ fn abort_fault_respawns_clean_and_traffic_survives() {
     // If worker 0 was a replica it aborted and restarted; either way the
     // fleet must end the storm fully routable with zero failed requests.
     wait_ready(&addr, Duration::from_secs(20));
-    shutdown_and_join(&addr, handle);
+    fleet.shutdown();
 }
 
 /// `(every listed worker is up, summed restarts)` from a `/metrics` text.
@@ -287,7 +322,8 @@ fn keep_alive_clients_never_crowd_out_the_supervisor() {
     export(&dir, "german-lr", "LR", 11);
     // Default worker settings, no faults: more keep-alive clients than a
     // worker had connection threads before each connection got its own.
-    let (addr, handle) = launch_fleet(fast_cfg(&dir, 2, 2));
+    let fleet = launch_fleet(fast_cfg(&dir, 2, 2));
+    let addr = fleet.addr.clone();
 
     let stop = Arc::new(AtomicBool::new(false));
     let clients: Vec<_> = (0..8)
@@ -328,7 +364,7 @@ fn keep_alive_clients_never_crowd_out_the_supervisor() {
         assert!(answered > 0, "a keep-alive client was never answered");
     }
 
-    shutdown_and_join(&addr, handle);
+    fleet.shutdown();
 }
 
 #[test]
@@ -353,7 +389,8 @@ fn blue_green_reload_under_live_traffic_never_errors() {
         .to_json()
     };
 
-    let (addr, handle) = launch_fleet(fast_cfg(&dir, 2, 2));
+    let fleet = launch_fleet(fast_cfg(&dir, 2, 2));
+    let addr = fleet.addr.clone();
 
     // Live traffic during the whole reload; every response must be 200.
     let stop = Arc::new(AtomicBool::new(false));
@@ -436,6 +473,32 @@ fn blue_green_reload_under_live_traffic_never_errors() {
         assert!(text.contains(want), "missing {want} in:\n{text}");
     }
 
-    shutdown_and_join(&addr, handle);
+    fleet.shutdown();
     let _ = std::fs::remove_dir_all(&cand_dir);
+}
+
+/// Worker pids as the fleet's health report lists them.
+fn worker_pids(addr: &str) -> Vec<u64> {
+    let (_, v) = one_shot(addr, "GET", "/healthz", "");
+    let workers = v.get("workers").cloned().unwrap().into_array().unwrap();
+    workers.iter().filter_map(|w| w.get("pid").cloned()).map(|p| p.into_u64().unwrap()).collect()
+}
+
+#[test]
+fn a_panicking_test_leaves_no_worker_behind() {
+    let dir = temp_models_dir("orphans");
+    export(&dir, "german-lr", "LR", 11);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let failed = std::thread::spawn(move || {
+        let fleet = launch_fleet(fast_cfg(&dir, 2, 1));
+        tx.send(worker_pids(&fleet.addr)).unwrap();
+        panic!("deliberate failure with a live fleet");
+    })
+    .join();
+    assert!(failed.is_err(), "the test body was meant to panic");
+    let pids = rx.recv().unwrap();
+    assert_eq!(pids.len(), 2, "{pids:?}");
+    for pid in pids {
+        assert!(!Path::new(&format!("/proc/{pid}")).exists(), "worker pid {pid} outlived the failed test");
+    }
 }

@@ -126,6 +126,23 @@ pub fn log1p_exp(z: f64) -> f64 {
     }
 }
 
+/// `(sigmoid(z), log1p_exp(z))` from one `exp(−|z|)`: the same branches
+/// and the same operations as the two separate calls, so both halves are
+/// bit-identical to them for every input (±0, ±∞ and NaN included).
+#[inline]
+pub fn sigmoid_softplus(z: f64) -> (f64, f64) {
+    if z > 0.0 {
+        let e = (-z).exp();
+        (1.0 / (1.0 + e), z + e.ln_1p())
+    } else {
+        // At z = ±0, `sigmoid` takes its `z >= 0` branch on exp(−z) = 1,
+        // which is exp(z) here.
+        let e = z.exp();
+        let s = if z >= 0.0 { 1.0 / (1.0 + e) } else { e / (1.0 + e) };
+        (s, e.ln_1p())
+    }
+}
+
 /// Clamp a probability into the open interval `(eps, 1 - eps)` so that
 /// downstream `ln` calls stay finite.
 #[inline]
@@ -234,6 +251,44 @@ mod tests {
         }
         assert!(log1p_exp(1000.0).is_finite());
         assert!((log1p_exp(1000.0) - 1000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sigmoid_softplus_is_bit_identical_to_the_separate_calls() {
+        let mut zs = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            36.7,
+            -36.7,
+            709.8,
+            -709.8,
+            745.2,
+            -745.2,
+            1e300,
+            -1e300,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..20_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let bits = state;
+            zs.push(f64::from_bits(bits));
+            zs.push(((bits >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 80.0);
+        }
+        for z in zs {
+            let (s, sp) = sigmoid_softplus(z);
+            assert_eq!(s.to_bits(), sigmoid(z).to_bits(), "sigmoid({z:e})");
+            assert_eq!(sp.to_bits(), log1p_exp(z).to_bits(), "log1p_exp({z:e})");
+        }
     }
 
     #[test]

@@ -54,6 +54,58 @@ impl<'a> LogisticLoss<'a> {
     fn weight(&self, i: usize) -> f64 {
         self.sample_weights.as_ref().map_or(1.0, |w| w[i])
     }
+
+    /// The margins `Xw` of `params = [w, b]`, intercept not yet added: the
+    /// one GEMV every evaluation starts from. Row `i` is exactly
+    /// `vector::dot(x_i, w)`, so callers sharing it see the same bits a
+    /// per-row dot would give.
+    pub fn margins(&self, params: &[f64]) -> Vec<f64> {
+        self.x.matvec(&params[..self.x.cols()])
+    }
+
+    /// `p_i = σ(x_i·w + b)` for every row, from one GEMV.
+    pub fn probs(&self, params: &[f64]) -> Vec<f64> {
+        let b = params[self.x.cols()];
+        let mut p = self.margins(params);
+        for pi in p.iter_mut() {
+            *pi = vector::sigmoid(*pi + b);
+        }
+        p
+    }
+
+    /// The loss at `params` from its [`margins`](Self::margins) `z`, with
+    /// one `exp` per row; on return `z[i]` holds `p_i = σ(z_i + b)`, ready
+    /// for [`gradient_at_probs`](Self::gradient_at_probs). Bit-identical to
+    /// [`Objective::value`].
+    pub fn value_at_margins(&self, params: &[f64], z: &mut [f64]) -> f64 {
+        let w = &params[..self.x.cols()];
+        let b = params[self.x.cols()];
+        let mut loss = 0.0;
+        for (i, zi) in z.iter_mut().enumerate() {
+            let m = *zi + b;
+            let (p, softplus) = vector::sigmoid_softplus(m);
+            // −y z + log(1 + e^z), the stable cross-entropy form
+            loss += self.weight(i) * (softplus - self.y[i] * m);
+            *zi = p;
+        }
+        loss / self.total_weight + 0.5 * self.l2 * vector::dot(w, w)
+    }
+
+    /// The gradient at `params` from its [`probs`](Self::probs):
+    /// residuals elementwise, then the feature gradient as one transposed
+    /// GEMV (`Xᵀr`). Bit-identical to [`Objective::gradient`].
+    pub fn gradient_at_probs(&self, params: &[f64], p: &[f64]) -> Vec<f64> {
+        let d = self.x.cols();
+        let resid: Vec<f64> =
+            p.iter().enumerate().map(|(i, &pi)| self.weight(i) * (pi - self.y[i])).collect();
+        let mut g = self.x.matvec_t(&resid);
+        g.push(resid.iter().sum::<f64>());
+        vector::scale(1.0 / self.total_weight, &mut g);
+        for j in 0..d {
+            g[j] += self.l2 * params[j];
+        }
+        g
+    }
 }
 
 impl Objective for LogisticLoss<'_> {
@@ -62,37 +114,17 @@ impl Objective for LogisticLoss<'_> {
     }
 
     fn value(&self, params: &[f64]) -> f64 {
-        let (w, b) = params.split_at(self.x.cols());
-        let b = b[0];
-        // One batched GEMV for all margins, then the elementwise link.
-        let z = self.x.matvec(w);
-        let mut loss = 0.0;
-        for (i, &zi) in z.iter().enumerate() {
-            let zi = zi + b;
-            // −y z + log(1 + e^z), the stable cross-entropy form
-            loss += self.weight(i) * (vector::log1p_exp(zi) - self.y[i] * zi);
-        }
-        loss / self.total_weight + 0.5 * self.l2 * vector::dot(w, w)
+        self.value_at_margins(params, &mut self.margins(params))
     }
 
     fn gradient(&self, params: &[f64]) -> Vec<f64> {
-        let d = self.x.cols();
-        let (w, b) = params.split_at(d);
-        let b = b[0];
-        // Margins via GEMV, residuals elementwise, then the feature
-        // gradient as one transposed GEMV (Xᵀr).
-        let z = self.x.matvec(w);
-        let mut resid = vec![0.0; self.x.rows()];
-        for (i, &zi) in z.iter().enumerate() {
-            resid[i] = self.weight(i) * (vector::sigmoid(zi + b) - self.y[i]);
-        }
-        let mut g = self.x.matvec_t(&resid);
-        g.push(resid.iter().sum::<f64>());
-        vector::scale(1.0 / self.total_weight, &mut g);
-        for j in 0..d {
-            g[j] += self.l2 * w[j];
-        }
-        g
+        self.gradient_at_probs(params, &self.probs(params))
+    }
+
+    fn value_grad(&self, params: &[f64]) -> (f64, Vec<f64>) {
+        let mut z = self.margins(params);
+        let v = self.value_at_margins(params, &mut z);
+        (v, self.gradient_at_probs(params, &z))
     }
 }
 

@@ -30,6 +30,24 @@ proptest! {
     }
 
     #[test]
+    fn loss_value_grad_is_bit_identical_to_value_and_gradient(
+        (x, y) in design_strategy(),
+        params in prop::collection::vec(-40.0f64..40.0, 4),
+        weights in prop::collection::vec(0.0f64..3.0, 60),
+        l2 in 0.0f64..1.0,
+    ) {
+        let params = &params[..x.cols() + 1];
+        let unweighted = LogisticLoss::new(&x, &y, l2);
+        let weighted = LogisticLoss::new(&x, &y, l2).with_sample_weights(&weights[..y.len()]);
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for loss in [&unweighted, &weighted] {
+            let (v, g) = loss.value_grad(params);
+            prop_assert_eq!(v.to_bits(), loss.value(params).to_bits());
+            prop_assert_eq!(bits(&g), bits(&loss.gradient(params)));
+        }
+    }
+
+    #[test]
     fn fitted_model_beats_or_matches_intercept_only((x, y) in design_strategy()) {
         // degenerate labels are fine — fit must not fail
         let model = LogisticRegression::fit(&x, &y, &LogisticOptions::default());

@@ -18,8 +18,17 @@
 //! `λ_i ← max(0, λ_i + μ c_i(x))` and growing the penalty `μ` whenever the
 //! maximum violation fails to shrink. This is the workhorse behind the Zafar
 //! approaches, standing in for the paper's CVXPY/DCCP stack.
+//!
+//! The inner solver asks for `L`'s value and gradient together at each
+//! step's first trial point. That evaluation calls `f`'s fused
+//! [`Objective::value_grad`] once and evaluates each constraint's value
+//! once, and its gradient only when the constraint is active
+//! (`λ_i + μ c_i(x) > 0`), with the same bits as `L`'s separate `value` and
+//! `gradient`.
 
-use crate::gd::{self, GdOptions};
+use fairlens_linalg::vector;
+
+use crate::gd::{self, GdOptions, GdResult};
 use crate::Objective;
 
 /// Options for [`minimize_augmented_lagrangian`].
@@ -92,13 +101,23 @@ impl Objective for AugLag<'_> {
             let ci = c.value(x);
             let t = l + self.mu * ci;
             if t > 0.0 {
-                let cg = c.gradient(x);
-                for (gi, cgi) in g.iter_mut().zip(cg.iter()) {
-                    *gi += t * cgi;
-                }
+                vector::axpy(t, &c.gradient(x), &mut g);
             }
         }
         g
+    }
+
+    fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+        let (mut v, mut g) = self.f.value_grad(x);
+        for (c, &l) in self.constraints.iter().zip(self.lambda.iter()) {
+            let t = l + self.mu * c.value(x);
+            let tp = t.max(0.0);
+            v += (tp * tp - l * l) / (2.0 * self.mu);
+            if t > 0.0 {
+                vector::axpy(t, &c.gradient(x), &mut g);
+            }
+        }
+        (v, g)
     }
 }
 
@@ -110,6 +129,20 @@ pub fn minimize_augmented_lagrangian(
     x0: &[f64],
     opts: &AugLagOptions,
 ) -> AugLagResult {
+    minimize_augmented_lagrangian_with(f, constraints, x0, opts, gd::minimize)
+}
+
+/// [`minimize_augmented_lagrangian`] with each subproblem solved by
+/// `inner(L, start, &opts.inner)` instead of [`gd::minimize`], so that a
+/// cross-verification can observe every inner iterate or run the same outer
+/// loop over a reference solver.
+pub fn minimize_augmented_lagrangian_with(
+    f: &dyn Objective,
+    constraints: &[&dyn Objective],
+    x0: &[f64],
+    opts: &AugLagOptions,
+    mut inner: impl FnMut(&dyn Objective, &[f64], &GdOptions) -> GdResult,
+) -> AugLagResult {
     let mut x = x0.to_vec();
     let mut lambda = vec![0.0; constraints.len()];
     let mut mu = opts.mu0;
@@ -119,7 +152,7 @@ pub fn minimize_augmented_lagrangian(
     for outer in 0..opts.outer_iter {
         outer_used = outer + 1;
         let al = AugLag { f, constraints, lambda: lambda.clone(), mu };
-        let res = gd::minimize(&al, &x, &opts.inner);
+        let res = inner(&al, &x, &opts.inner);
         x = res.x;
 
         let viols: Vec<f64> = constraints.iter().map(|c| c.value(&x)).collect();
@@ -249,6 +282,66 @@ mod tests {
         }
         fn gradient(&self, _x: &[f64]) -> Vec<f64> {
             vec![-1.0, -1.0]
+        }
+    }
+
+    /// A non-quadratic objective and constraint, so that the Lagrangian's
+    /// value and gradient share no arithmetic by accident.
+    struct LogCosh;
+    impl Objective for LogCosh {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn value(&self, x: &[f64]) -> f64 {
+            x[0].cosh().ln() + 0.5 * (x[1] - 0.3).powi(2) + x[0] * x[1]
+        }
+        fn gradient(&self, x: &[f64]) -> Vec<f64> {
+            vec![x[0].tanh() + x[1], x[1] - 0.3 + x[0]]
+        }
+    }
+    struct Disc;
+    impl Objective for Disc {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn value(&self, x: &[f64]) -> f64 {
+            x[0] * x[0] + x[1] * x[1] - 1.0
+        }
+        fn gradient(&self, x: &[f64]) -> Vec<f64> {
+            vec![2.0 * x[0], 2.0 * x[1]]
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The fused Lagrangian returns exactly the bits of its separate
+        /// value and gradient, with constraints active and inactive.
+        #[test]
+        fn aug_lag_value_grad_is_bit_identical(
+            x in proptest::prop::collection::vec(-3.0f64..3.0, 2),
+            lambda in proptest::prop::collection::vec(0.0f64..4.0, 3),
+            mu in 0.01f64..200.0,
+        ) {
+            let constraints: [&dyn Objective; 3] = [&Disc, &SumGeOne, &LeTen2];
+            let al = AugLag { f: &LogCosh, constraints: &constraints, lambda: lambda.clone(), mu };
+            let (v, g) = al.value_grad(&x);
+            proptest::prop_assert_eq!(v.to_bits(), al.value(&x).to_bits());
+            let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&g), bits(&al.gradient(&x)));
+        }
+    }
+
+    struct LeTen2;
+    impl Objective for LeTen2 {
+        fn dim(&self) -> usize {
+            2
+        }
+        fn value(&self, x: &[f64]) -> f64 {
+            x[0] - 10.0
+        }
+        fn gradient(&self, _x: &[f64]) -> Vec<f64> {
+            vec![1.0, 0.0]
         }
     }
 

@@ -1,4 +1,13 @@
 //! Gradient descent with Armijo backtracking line search.
+//!
+//! Each step evaluates its first, full-step trial with
+//! [`Objective::value_grad`] and later backtracking trials with
+//! [`Objective::value`]. The accepted point reuses its trial's value, and
+//! its gradient too when the full step was accepted; only a step accepted
+//! after backtracking calls [`Objective::gradient`]. Because `value_grad`
+//! returns exactly the bits of `(value, gradient)`, the iterates are those
+//! of the plain loop that re-evaluates every accepted point, with one pass
+//! over the data fewer per step.
 
 use fairlens_linalg::vector;
 
@@ -71,29 +80,33 @@ pub fn minimize_observed(
             fairlens_trace::event("gd.converged");
             return GdResult { x, value: fx, iterations: it, converged: true };
         }
-        // Backtracking along -g.
+        // Backtracking along -g; the full step also yields its gradient.
         let g2 = vector::dot(&g, &g);
         let mut step = opts.init_step;
-        let mut accepted = false;
-        for _ in 0..60 {
+        let mut accepted = None;
+        for k in 0..60 {
             for (t, (xi, gi)) in trial.iter_mut().zip(x.iter().zip(g.iter())) {
                 *t = xi - step * gi;
             }
-            let ft = obj.value(&trial);
+            let (ft, gt) = if k == 0 {
+                let (ft, gt) = obj.value_grad(&trial);
+                (ft, Some(gt))
+            } else {
+                (obj.value(&trial), None)
+            };
             if ft.is_finite() && ft <= fx - opts.armijo_c * step * g2 {
-                accepted = true;
+                accepted = Some((ft, gt));
                 break;
             }
             step *= opts.shrink;
         }
-        if !accepted {
+        let Some((ft, gt)) = accepted else {
             // Line search failed: we are at numerical stationarity.
             return GdResult { x, value: fx, iterations: it, converged: false };
-        }
+        };
         std::mem::swap(&mut x, &mut trial);
-        let vg = obj.value_grad(&x);
-        fx = vg.0;
-        g = vg.1;
+        fx = ft;
+        g = gt.unwrap_or_else(|| obj.gradient(&x));
     }
     GdResult { x, value: fx, iterations: opts.max_iter, converged: false }
 }
@@ -164,6 +177,51 @@ mod tests {
         let r = minimize(&Quadratic, &[0.0, 0.0, 0.0], &GdOptions::default());
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
+    }
+
+    /// Counts evaluations: `[value, gradient, value_grad]`.
+    struct Counting<O>(O, std::cell::Cell<[usize; 3]>);
+    impl<O: Objective> Counting<O> {
+        fn bump(&self, k: usize) {
+            let mut c = self.1.get();
+            c[k] += 1;
+            self.1.set(c);
+        }
+    }
+    impl<O: Objective> Objective for Counting<O> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn value(&self, x: &[f64]) -> f64 {
+            self.bump(0);
+            self.0.value(x)
+        }
+        fn gradient(&self, x: &[f64]) -> Vec<f64> {
+            self.bump(1);
+            self.0.gradient(x)
+        }
+        fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+            self.bump(2);
+            self.0.value_grad(x)
+        }
+    }
+
+    #[test]
+    fn accepted_full_steps_cost_one_fused_evaluation() {
+        // Step 1.0 on Σ(i+1)x² overshoots every coordinate, so each step
+        // backtracks; step 0.125 is accepted in full every time.
+        let opts = GdOptions { max_iter: 6, grad_tol: 0.0, ..Default::default() };
+        let q = Counting(Quadratic, Default::default());
+        minimize(&q, &[1.0, -1.0, 0.5], &GdOptions { init_step: 0.125, ..opts.clone() });
+        // The start point, then one fused evaluation per step.
+        assert_eq!(q.1.get(), [0, 0, 7]);
+
+        let q = Counting(Quadratic, Default::default());
+        minimize(&q, &[1.0, -1.0, 0.5], &opts);
+        let [values, gradients, fused] = q.1.get();
+        assert_eq!(fused, 7, "the start point and each step's full trial");
+        assert_eq!(gradients, 6, "each step was accepted after backtracking");
+        assert!(values >= 6, "{values}");
     }
 
     #[test]

@@ -24,7 +24,9 @@ pub mod gd;
 pub mod scalar;
 
 pub use adam::AdamOptions;
-pub use constrained::{minimize_augmented_lagrangian, AugLagOptions, AugLagResult};
+pub use constrained::{
+    minimize_augmented_lagrangian, minimize_augmented_lagrangian_with, AugLagOptions, AugLagResult,
+};
 pub use gd::{minimize, GdOptions, GdResult};
 pub use scalar::{bisect, golden_section_min};
 
@@ -37,6 +39,12 @@ pub trait Objective {
     /// Gradient at `x` (length `dim()`).
     fn gradient(&self, x: &[f64]) -> Vec<f64>;
     /// Value and gradient together; override when they share work.
+    ///
+    /// **Contract:** an override must return exactly the bits of
+    /// `(self.value(x), self.gradient(x))`. The solvers call whichever of
+    /// the three is cheapest at each point and treat the results as
+    /// interchangeable, so an override that reorders a sum would change
+    /// the iterates, not just the cost.
     fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
         (self.value(x), self.gradient(x))
     }

@@ -15,10 +15,18 @@
 //! * **MaxSAT agreement** — exhaustive exact solve vs WalkSAT local search
 //!   at small scale; the reached optimum (soft weight, hard feasibility)
 //!   must coincide.
+//! * **GD / AL fusion** — [`gd::minimize_observed`] (fused first trial,
+//!   reused accepted point) vs [`gd_unfused`], the loop it replaced, on an
+//!   objective whose `value_grad` override is hidden; every iterate must
+//!   agree bit for bit. The same pair runs a whole augmented-Lagrangian
+//!   solve over either inner loop.
 
-use fairlens_linalg::Matrix;
+use fairlens_linalg::{vector, Matrix};
 use fairlens_model::{FitError, LogisticOptions, LogisticRegression, Solver};
-use fairlens_optim::{adam, gd, AdamOptions, GdOptions, Objective};
+use fairlens_optim::{
+    adam, gd, minimize_augmented_lagrangian_with, AdamOptions, AugLagOptions, GdOptions, GdResult,
+    Objective,
+};
 use fairlens_solver::MaxSatProblem;
 
 use crate::{lockstep, Report, State, Tolerance};
@@ -112,6 +120,120 @@ pub fn optim_agreement(obj: &dyn Objective, x0: &[f64], tol: Tolerance) -> Repor
     let left = [State::new([("objective".to_string(), g.value)])];
     let right = [State::new([("objective".to_string(), adam_val)])];
     lockstep("optim/gd-vs-adam", &left, &right, tol)
+}
+
+/// Gradient descent as it stood before the fused first trial, kept as the
+/// oracle of [`gd_fusion`]: every trial is evaluated by `value`, and each
+/// accepted point again by `value_grad`.
+pub fn gd_unfused(
+    obj: &dyn Objective,
+    x0: &[f64],
+    opts: &GdOptions,
+    observe: &mut dyn FnMut(usize, &[f64], f64),
+) -> GdResult {
+    let mut x = x0.to_vec();
+    let (mut fx, mut g) = obj.value_grad(&x);
+    let mut trial = vec![0.0; x.len()];
+    for it in 0..opts.max_iter {
+        observe(it, &x, fx);
+        if vector::norm_inf(&g) <= opts.grad_tol {
+            return GdResult { x, value: fx, iterations: it, converged: true };
+        }
+        let g2 = vector::dot(&g, &g);
+        let mut step = opts.init_step;
+        let mut accepted = false;
+        for _ in 0..60 {
+            for (t, (xi, gi)) in trial.iter_mut().zip(x.iter().zip(g.iter())) {
+                *t = xi - step * gi;
+            }
+            let ft = obj.value(&trial);
+            if ft.is_finite() && ft <= fx - opts.armijo_c * step * g2 {
+                accepted = true;
+                break;
+            }
+            step *= opts.shrink;
+        }
+        if !accepted {
+            return GdResult { x, value: fx, iterations: it, converged: false };
+        }
+        std::mem::swap(&mut x, &mut trial);
+        (fx, g) = obj.value_grad(&x);
+    }
+    GdResult { x, value: fx, iterations: opts.max_iter, converged: false }
+}
+
+/// An objective with its `value_grad` override hidden: the trait's default
+/// `(value, gradient)` pair, i.e. two separate evaluations.
+pub struct Unfused<'a>(pub &'a dyn Objective);
+
+impl Objective for Unfused<'_> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn value(&self, x: &[f64]) -> f64 {
+        self.0.value(x)
+    }
+    fn gradient(&self, x: &[f64]) -> Vec<f64> {
+        self.0.gradient(x)
+    }
+}
+
+fn iterate(x: &[f64], value: f64) -> State {
+    let mut s = State::of_params("x", x);
+    s.fields.push(("value".into(), value));
+    s
+}
+
+/// Minimise `obj` with [`gd::minimize_observed`] and with [`gd_unfused`] on
+/// [`Unfused`]`(obj)` and lockstep-compare every iterate, its value and the
+/// final result. Under [`Tolerance::Exact`] this holds exactly when `obj`'s
+/// `value_grad` returns the bits of `(value, gradient)`.
+pub fn gd_fusion(obj: &dyn Objective, x0: &[f64], opts: &GdOptions, tol: Tolerance) -> Report {
+    let run = |fused: bool| {
+        let mut stream = Vec::new();
+        let observe = &mut |_: usize, x: &[f64], v: f64| stream.push(iterate(x, v));
+        let r = if fused {
+            gd::minimize_observed(obj, x0, opts, observe)
+        } else {
+            gd_unfused(&Unfused(obj), x0, opts, observe)
+        };
+        let mut last = iterate(&r.x, r.value);
+        last.fields.push(("iterations".into(), r.iterations as f64));
+        last.fields.push(("converged".into(), f64::from(u8::from(r.converged))));
+        stream.push(last);
+        stream
+    };
+    lockstep("gd/fused-vs-unfused", &run(true), &run(false), tol)
+}
+
+/// One augmented-Lagrangian solve with fused inner GD vs the same outer
+/// loop over [`gd_unfused`] on the unfused Lagrangian (whose value and
+/// gradient each evaluate `f` and every constraint separately). Every inner
+/// iterate and the final result are compared.
+pub fn al_fusion(
+    f: &dyn Objective,
+    constraints: &[&dyn Objective],
+    x0: &[f64],
+    opts: &AugLagOptions,
+    tol: Tolerance,
+) -> Report {
+    let run = |fused: bool| {
+        let mut stream = Vec::new();
+        let r = minimize_augmented_lagrangian_with(f, constraints, x0, opts, |al, start, o| {
+            let observe = &mut |_: usize, x: &[f64], v: f64| stream.push(iterate(x, v));
+            if fused {
+                gd::minimize_observed(al, start, o, observe)
+            } else {
+                gd_unfused(&Unfused(al), start, o, observe)
+            }
+        });
+        let mut last = iterate(&r.x, r.objective);
+        last.fields.push(("max_violation".into(), r.max_violation));
+        last.fields.push(("outer_iterations".into(), r.outer_iterations as f64));
+        stream.push(last);
+        stream
+    };
+    lockstep("al/fused-vs-unfused", &run(true), &run(false), tol)
 }
 
 /// Solve a small instance exactly and with WalkSAT and compare the reached
@@ -226,5 +348,61 @@ mod tests {
         let r = maxsat_agreement(&p, 11, 4000, 8, Tolerance::Exact);
         assert!(r.ok(), "{r}");
         assert!(r.checkpoints > 0);
+    }
+
+    /// LogisticRegression's GD path (the fallback IRLS takes under
+    /// separation, and `Solver::GradientDescent`) follows the pre-fusion
+    /// loop bit for bit, weighted and unweighted.
+    #[test]
+    fn lr_gd_path_matches_the_unfused_loop() {
+        // Separable labels: GD runs to its iteration cap, no early exit.
+        let (x, y) = synthetic(300);
+        let w: Vec<f64> = (0..300).map(|i| 0.5 + (i % 7) as f64 / 4.0).collect();
+        let opts = LogisticOptions { solver: Solver::GradientDescent, ..Default::default() };
+        for weights in [None, Some(&w[..])] {
+            let fused = capture_lr(&x, &y, weights, &opts).unwrap();
+            // The loss and options the GD path builds from `opts`.
+            let loss = fairlens_model::LogisticLoss::new(&x, &y, opts.l2.max(1e-6));
+            let loss = match weights {
+                Some(w) => loss.with_sample_weights(w),
+                None => loss,
+            };
+            let gd_opts =
+                GdOptions { max_iter: opts.max_iter.max(300), grad_tol: opts.tol.max(1e-7), ..Default::default() };
+            let mut oracle = Vec::new();
+            gd_unfused(&Unfused(&loss), &vec![0.0; loss.dim()], &gd_opts, &mut |_, p, _| {
+                oracle.push(State::of_params("beta", p))
+            });
+            let r = lockstep("lr/gd-vs-unfused", &fused, &oracle, Tolerance::Exact);
+            assert!(r.ok() && r.checkpoints >= 300, "{r}");
+            let r = gd_fusion(&loss, &vec![0.0; loss.dim()], &gd_opts, Tolerance::Exact);
+            assert!(r.ok(), "{r}");
+        }
+    }
+
+    /// A `value_grad` override one ulp off its `value` is caught.
+    #[test]
+    fn gd_fusion_catches_a_value_grad_override_that_drifts() {
+        struct Drifting<'a>(fairlens_model::LogisticLoss<'a>);
+        impl Objective for Drifting<'_> {
+            fn dim(&self) -> usize {
+                self.0.dim()
+            }
+            fn value(&self, x: &[f64]) -> f64 {
+                self.0.value(x)
+            }
+            fn gradient(&self, x: &[f64]) -> Vec<f64> {
+                self.0.gradient(x)
+            }
+            fn value_grad(&self, x: &[f64]) -> (f64, Vec<f64>) {
+                let (v, g) = self.0.value_grad(x);
+                (bump(v, 1), g)
+            }
+        }
+        let (x, y) = synthetic(200);
+        let obj = Drifting(fairlens_model::LogisticLoss::new(&x, &y, 0.05));
+        let r = gd_fusion(&obj, &[0.0; 3], &GdOptions::default(), Tolerance::Exact);
+        assert!(!r.ok(), "{r}");
+        assert!(gd_fusion(&obj.0, &[0.0; 3], &GdOptions::default(), Tolerance::Exact).ok());
     }
 }
