@@ -23,8 +23,13 @@
 //! * default: full-scale kernel sweep + quick-scale sweep + fit-phase
 //!   before/after; writes both JSON baselines to `--out` (default `.`).
 //! * `--check FILE`: quick-scale kernel sweep only, compared against the
-//!   committed baseline's `quick_kernels` section; exits non-zero if any
-//!   kernel's fast-path median regressed more than 20%. This is the
+//!   committed baseline's `quick_kernels` section, with two verdicts per
+//!   kernel. The absolute verdict compares the fast-path median with the
+//!   baseline's; it moves with the machine's load and sets the exit code:
+//!   non-zero if any kernel regressed more than 20%. The relative verdict
+//!   compares this run's naive/fast speedup with the baseline's `speedup`;
+//!   both halves of the ratio share one run's load, so it flags a kernel
+//!   that lost more than 20% of its speedup. Both are printed. This is the
 //!   `scripts/check.sh` bench smoke (gated by `FAIRLENS_BENCH_STRICT`).
 
 use std::path::{Path, PathBuf};
@@ -371,7 +376,8 @@ fn measure_fit(rows: usize, reps: usize) -> (f64, f64) {
 }
 
 /// `--check`: quick-scale sweep vs the committed baseline's
-/// `quick_kernels`; >20% fast-path median regression fails.
+/// `quick_kernels`; >20% fast-path median regression fails, and a >20%
+/// loss of the in-run naive/fast speedup is reported beside it.
 fn run_check(baseline_path: &Path) {
     let text = match std::fs::read_to_string(baseline_path) {
         Ok(t) => t,
@@ -391,37 +397,61 @@ fn run_check(baseline_path: &Path) {
 
     println!("== bench check: quick kernels vs {} ==", baseline_path.display());
     let current = measure_kernels(true);
-    let mut regressed = false;
+    let number = |b: &Value, key: &str| match b.get(key) {
+        Some(Value::Integer(n)) => Some(*n as f64),
+        Some(Value::Number(n)) => Some(*n),
+        _ => None,
+    };
+    let mut regressed = Vec::new();
+    let mut speedup_lost = Vec::new();
     for row in &current {
         let base = base_rows.iter().find(|b| {
             b.get("kernel").and_then(Value::as_str) == Some(row.kernel.as_str())
                 && b.get("shape").and_then(Value::as_str) == Some(row.shape.as_str())
         });
-        let Some(base_ns) = base.and_then(|b| b.get("fast_median_ns")).and_then(|v| match v {
-            Value::Integer(n) => Some(*n),
-            Value::Number(n) => Some(*n as u64),
-            _ => None,
-        }) else {
+        let Some((base_ns, base_speedup)) =
+            base.and_then(|b| Some((number(b, "fast_median_ns")?, number(b, "speedup")?)))
+        else {
             println!("  {:<16} {:<14} (no baseline entry — skipped)", row.kernel, row.shape);
             continue;
         };
-        let ratio = row.fast_median_ns as f64 / base_ns.max(1) as f64;
-        let verdict = if ratio > 1.2 {
-            regressed = true;
+        let ratio = row.fast_median_ns as f64 / base_ns.max(1.0);
+        let absolute = if ratio > 1.2 {
+            regressed.push(row.kernel.as_str());
             "REGRESSED"
         } else {
             "ok"
         };
+        let kept = row.speedup() / base_speedup;
+        let relative = if kept < 1.0 / 1.2 {
+            speedup_lost.push(row.kernel.as_str());
+            "SPEEDUP-LOST"
+        } else {
+            "ok"
+        };
         println!(
-            "  {:<16} {:<14} {:>8} ns vs baseline {:>8} ns  ({:+.1}%)  {verdict}",
+            "  {:<16} {:<14} {:>8} ns vs baseline {:>8} ns  ({:+.1}%)  {absolute:<9}  \
+             speedup {:>6.2}x vs baseline {:>6.2}x  ({:+.1}%)  {relative}",
             row.kernel,
             row.shape,
             row.fast_median_ns,
             base_ns,
-            (ratio - 1.0) * 100.0
+            (ratio - 1.0) * 100.0,
+            row.speedup(),
+            base_speedup,
+            (kept - 1.0) * 100.0
         );
     }
-    if regressed {
+    let verdict = |names: &[&str]| {
+        if names.is_empty() {
+            "ok".to_string()
+        } else {
+            names.join(", ")
+        }
+    };
+    println!("absolute verdict (fast median, moves with machine load): {}", verdict(&regressed));
+    println!("relative verdict (in-run naive/fast speedup): {}", verdict(&speedup_lost));
+    if !regressed.is_empty() {
         eprintln!("bench check FAILED: a kernel regressed more than 20% vs the committed baseline");
         std::process::exit(1);
     }

@@ -152,17 +152,6 @@ fn main() {
                     continue;
                 }
             };
-            // Metrics fill in below; packaging first skips pipelines the
-            // artifact format cannot express before predicting with them.
-            let packaged = ModelArtifact::new(&approach, name, &train, &fitted, seed, Vec::new());
-            let mut artifact = match packaged {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("[export_models] skip {name}/{}: {e}", approach.name);
-                    skipped += 1;
-                    continue;
-                }
-            };
             let preds = {
                 let _span = fairlens_trace::span("predict");
                 fitted.predict(&test)
@@ -171,11 +160,12 @@ fn main() {
                 let _span = fairlens_trace::span("metrics");
                 metric_suite(&fitted, kind, &test, &preds, seed, PAPER_CD_BOUNDS)
             };
-            artifact.train_metrics = fairlens_bench::METRIC_KEYS
+            let metrics = fairlens_bench::METRIC_KEYS
                 .iter()
                 .map(|k| k.to_string())
                 .zip(report.values())
                 .collect();
+            let artifact = ModelArtifact::new(&approach, name, &train, &fitted, seed, metrics);
             let path = out_dir.join(format!("{}.flm", model_id(name, approach.name)));
             if let Err(e) = artifact.save(&path) {
                 eprintln!("[export_models] cannot write {}: {e}", path.display());

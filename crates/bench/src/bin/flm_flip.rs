@@ -21,7 +21,8 @@ use std::path::Path;
 use std::process::exit;
 
 use fairlens_core::artifact::ModelArtifact;
-use fairlens_core::snapshot::{ModelParams, PipelineSnapshot};
+use fairlens_core::{FittedPipeline, ModelParams};
+use fairlens_model::LogisticRegression;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,27 +45,29 @@ fn main() {
         exit(1);
     });
 
-    let snapshot = match &mut artifact.pipeline {
-        PipelineSnapshot::Model(m) => m,
-        PipelineSnapshot::Adjusted { base, .. } => base,
+    let base = match &mut artifact.pipeline {
+        FittedPipeline::Model(m) => m,
+        FittedPipeline::Adjusted { base, .. } => base,
     };
-    let weight = match &mut snapshot.params {
-        ModelParams::Linear(p) => p.weights.first_mut(),
-        ModelParams::Mixture(ps) => ps.first_mut().and_then(|p| p.weights.first_mut()),
+    let model = match &mut base.params {
+        ModelParams::Linear(m) => Some(m),
+        ModelParams::Mixture(ms) => ms.first_mut(),
     };
-    let Some(w) = weight else {
+    let Some(model) = model.filter(|m| !m.weights().is_empty()) else {
         eprintln!("flm_flip: {input} has no weights to flip");
         exit(1);
     };
-    let before = *w;
-    *w = f64::from_bits(w.to_bits() ^ (1 << bit));
+    let mut weights = model.weights().to_vec();
+    let before = weights[0];
+    weights[0] = f64::from_bits(before.to_bits() ^ (1 << bit));
     eprintln!(
         "flm_flip: weights[0] {:#018x} -> {:#018x} ({} -> {})",
         before.to_bits(),
-        w.to_bits(),
+        weights[0].to_bits(),
         before,
-        w
+        weights[0]
     );
+    *model = LogisticRegression::from_params(weights, model.intercept());
 
     if let Err(e) = artifact.save(Path::new(output)) {
         eprintln!("flm_flip: cannot save {output}: {e}");

@@ -34,8 +34,7 @@ fn saved_models_predict_byte_identically_across_all_datasets() {
                 Err(e) => panic!("{name}/{approach_name}: fit failed: {e}"),
             };
             let metrics = vec![("accuracy".into(), 0.5)];
-            let artifact =
-                ModelArtifact::new(&approach, name, &train, &fitted, seed, metrics).unwrap();
+            let artifact = ModelArtifact::new(&approach, name, &train, &fitted, seed, metrics);
 
             // Through the text encoding…
             let reparsed = ModelArtifact::from_json(&artifact.to_json()).unwrap();

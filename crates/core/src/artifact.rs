@@ -8,7 +8,7 @@
 //!   count and training-fold metrics;
 //! * the training data's [`DataSchema`], so a server can validate and
 //!   encode raw JSON rows without ever seeing the training data;
-//! * the [`PipelineSnapshot`] of the fitted pipeline.
+//! * the [`FittedPipeline`] itself, serialized as it is held in memory.
 //!
 //! The envelope is versioned (`"format": "flm"`, `"version": 1`); loaders
 //! reject unknown formats/versions up front with a structured error rather
@@ -20,9 +20,7 @@ use std::path::{Path, PathBuf};
 use fairlens_frame::{Column, Dataset};
 use fairlens_json::{object, parse, Value};
 
-use crate::error::CoreError;
 use crate::pipeline::{Approach, FittedPipeline};
-use crate::snapshot::PipelineSnapshot;
 
 /// File extension for model artifacts.
 pub const ARTIFACT_EXT: &str = "flm";
@@ -328,13 +326,12 @@ pub struct ModelArtifact {
     /// Schema of the training data, used to parse prediction rows.
     pub schema: DataSchema,
     /// The fitted pipeline.
-    pub pipeline: PipelineSnapshot,
+    pub pipeline: FittedPipeline,
 }
 
 impl ModelArtifact {
     /// Package a fitted pipeline: the stage comes from `approach`, the
-    /// row count and schema from `train`, the snapshot from `fitted`
-    /// (which fails for pipelines the artifact format cannot express).
+    /// row count and schema from `train`.
     pub fn new(
         approach: &Approach,
         dataset: &str,
@@ -342,8 +339,8 @@ impl ModelArtifact {
         fitted: &FittedPipeline,
         seed: u64,
         train_metrics: Vec<(String, f64)>,
-    ) -> Result<Self, CoreError> {
-        Ok(Self {
+    ) -> Self {
+        Self {
             approach: approach.name.to_string(),
             stage: approach.stage.label().to_string(),
             dataset: dataset.to_string(),
@@ -351,13 +348,13 @@ impl ModelArtifact {
             train_rows: train.n_rows() as u64,
             train_metrics,
             schema: DataSchema::of(train),
-            pipeline: fitted.snapshot()?,
-        })
+            pipeline: fitted.clone(),
+        }
     }
 
-    /// Rebuild the live pipeline.
+    /// A copy of the fitted pipeline, ready to predict.
     pub fn restore(&self) -> FittedPipeline {
-        self.pipeline.restore()
+        self.pipeline.clone()
     }
 
     /// Look up one training-fold metric by name — the provenance
@@ -418,7 +415,7 @@ impl ModelArtifact {
             train_rows: field(&v, "train_rows")?.clone().into_u64()?,
             train_metrics,
             schema: DataSchema::from_value(field(&v, "schema")?)?,
-            pipeline: PipelineSnapshot::from_value(field(&v, "pipeline")?)?,
+            pipeline: FittedPipeline::from_value(field(&v, "pipeline")?)?,
         })
     }
 
@@ -517,7 +514,7 @@ mod tests {
         let approach = baseline_approach();
         let fitted = approach.fit(&d, 11).unwrap();
         let metrics = vec![("acc".into(), 0.93), ("di".into(), 0.81)];
-        let artifact = ModelArtifact::new(&approach, "toy", &d, &fitted, 11, metrics).unwrap();
+        let artifact = ModelArtifact::new(&approach, "toy", &d, &fitted, 11, metrics);
         (d, fitted, artifact)
     }
 

@@ -20,7 +20,8 @@ use fairlens_model::{LogisticOptions, LogisticRegression};
 use rand::rngs::StdRng;
 
 use crate::error::CoreError;
-use crate::pipeline::{InProcessor, TrainedModel};
+use crate::pipeline::InProcessor;
+use crate::snapshot::FittedModel;
 
 /// The Celis et al. meta-algorithm (predictive-parity instance).
 #[derive(Debug, Clone)]
@@ -77,27 +78,8 @@ fn parity_ratio(y: &[u8], preds: &[u8], s: &[u8]) -> f64 {
     }
 }
 
-struct CelisModel {
-    encoder: Encoder,
-    model: LogisticRegression,
-}
-
-impl TrainedModel for CelisModel {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.model.predict(&self.encoder.transform(data).matrix)
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.model.predict_proba(&self.encoder.transform(data).matrix)
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::ModelSnapshot> {
-        Some(crate::snapshot::ModelSnapshot::linear(&self.encoder, &self.model))
-    }
-}
-
 impl InProcessor for Celis {
-    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError> {
+    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<FittedModel, CoreError> {
         let encoder = Encoder::fit(train, true);
         let x = encoder.transform(train).matrix;
         let y = train.labels();
@@ -147,7 +129,7 @@ impl InProcessor for Celis {
             .map(|(_, m)| m)
             .or(best_any.map(|(_, m)| m))
             .ok_or_else(|| CoreError::Infeasible("no Celis candidate trained".into()))?;
-        Ok(Box::new(CelisModel { encoder, model }))
+        Ok(FittedModel::linear(encoder, model))
     }
 }
 

@@ -26,7 +26,8 @@ use fairlens_model::{LogisticOptions, LogisticRegression};
 use rand::rngs::StdRng;
 
 use crate::error::CoreError;
-use crate::pipeline::{InProcessor, TrainedModel};
+use crate::pipeline::InProcessor;
+use crate::snapshot::{FittedModel, ModelParams};
 
 /// Which subgroup statistic the auditor equalises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,44 +178,8 @@ fn population_stat(notion: KearnsNotion, y: &[u8], preds: &[u8]) -> f64 {
     }
 }
 
-/// Mixture model: averages member probabilities.
-struct MixtureModel {
-    encoder: Encoder,
-    members: Vec<LogisticRegression>,
-}
-
-impl MixtureModel {
-    /// Mean member probability per row (the mixture's score).
-    fn mean_proba(&self, data: &Dataset) -> Vec<f64> {
-        let x = self.encoder.transform(data).matrix;
-        let n = x.rows();
-        let mut acc = vec![0.0f64; n];
-        for m in &self.members {
-            for (a, p) in acc.iter_mut().zip(m.predict_proba(&x)) {
-                *a += p;
-            }
-        }
-        let k = self.members.len() as f64;
-        acc.into_iter().map(|a| a / k).collect()
-    }
-}
-
-impl TrainedModel for MixtureModel {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.mean_proba(data).into_iter().map(|p| u8::from(p >= 0.5)).collect()
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.mean_proba(data)
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::ModelSnapshot> {
-        Some(crate::snapshot::ModelSnapshot::mixture(&self.encoder, &self.members))
-    }
-}
-
 impl InProcessor for Kearns {
-    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError> {
+    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<FittedModel, CoreError> {
         let encoder = Encoder::fit(train, true);
         let x = encoder.transform(train).matrix;
         let y = train.labels();
@@ -264,7 +229,7 @@ impl InProcessor for Kearns {
             }
         }
 
-        Ok(Box::new(MixtureModel { encoder, members }))
+        Ok(FittedModel { encoder, params: ModelParams::Mixture(members) })
     }
 }
 

@@ -22,7 +22,8 @@ use fairlens_optim::{gd, Objective};
 use rand::rngs::StdRng;
 
 use crate::error::CoreError;
-use crate::pipeline::{InProcessor, TrainedModel};
+use crate::pipeline::InProcessor;
+use crate::snapshot::FittedModel;
 
 /// The fairness notion a Thomas instance enforces. The paper evaluates the
 /// first two and excludes the last two "as equalized odds encompasses both
@@ -206,32 +207,8 @@ fn hard_violation(
     }
 }
 
-/// The trained (accepted or NSF-fallback) model.
-struct ThomasModel {
-    encoder: Encoder,
-    model: LogisticRegression,
-    /// Whether the safety test passed (false = NSF fallback). Surfaced for
-    /// diagnostics; the benchmark uses the predictions either way.
-    #[allow(dead_code)]
-    accepted: bool,
-}
-
-impl TrainedModel for ThomasModel {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.model.predict(&self.encoder.transform(data).matrix)
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.model.predict_proba(&self.encoder.transform(data).matrix)
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::ModelSnapshot> {
-        Some(crate::snapshot::ModelSnapshot::linear(&self.encoder, &self.model))
-    }
-}
-
 impl InProcessor for Thomas {
-    fn train(&self, train: &Dataset, rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError> {
+    fn train(&self, train: &Dataset, rng: &mut StdRng) -> Result<FittedModel, CoreError> {
         // Candidate / safety split (60/40).
         let (d1, d2) = split::train_test_split(train, 0.4, rng);
         let encoder = Encoder::fit(&d1, true);
@@ -260,7 +237,7 @@ impl InProcessor for Thomas {
             let preds = model.predict(&x2);
             let g_hat = hard_violation(self.notion, &preds, d2.labels(), d2.sensitive());
             if g_hat + bound <= self.tolerance {
-                return Ok(Box::new(ThomasModel { encoder, model, accepted: true }));
+                return Ok(FittedModel::linear(encoder, model));
             }
             if g_hat < fallback_violation {
                 fallback_violation = g_hat;
@@ -270,11 +247,11 @@ impl InProcessor for Thomas {
 
         // NSF: no candidate passed. The paper's Thomas returns "no solution
         // found"; the benchmark still needs predictions, so deploy the most
-        // conservative candidate, flagged as not-accepted.
+        // conservative candidate.
         let model = fallback.ok_or_else(|| {
             CoreError::Infeasible("Thomas produced no candidates at all".into())
         })?;
-        Ok(Box::new(ThomasModel { encoder, model, accepted: false }))
+        Ok(FittedModel::linear(encoder, model))
     }
 }
 

@@ -30,7 +30,8 @@ use fairlens_optim::{gd, minimize_augmented_lagrangian, AugLagOptions, Objective
 use rand::rngs::StdRng;
 
 use crate::error::CoreError;
-use crate::pipeline::{InProcessor, TrainedModel};
+use crate::pipeline::InProcessor;
+use crate::snapshot::FittedModel;
 
 /// Which Zafar formulation to train.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,26 +145,6 @@ impl Objective for LossCap<'_> {
     }
 }
 
-/// Fitted Zafar model: encoder (without `S`) + parameters.
-struct ZafarModel {
-    encoder: Encoder,
-    model: LogisticRegression,
-}
-
-impl TrainedModel for ZafarModel {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.model.predict(&self.encoder.transform(data).matrix)
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.model.predict_proba(&self.encoder.transform(data).matrix)
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::ModelSnapshot> {
-        Some(crate::snapshot::ModelSnapshot::linear(&self.encoder, &self.model))
-    }
-}
-
 impl Zafar {
     fn centered_sensitive(train: &Dataset) -> Vec<f64> {
         let s: Vec<f64> = train.sensitive().iter().map(|&v| v as f64).collect();
@@ -259,7 +240,7 @@ impl Zafar {
 }
 
 impl InProcessor for Zafar {
-    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError> {
+    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<FittedModel, CoreError> {
         let encoder = Encoder::fit(train, false);
         let x = encoder.transform(train).matrix;
         let params = self.solve(train, &x, |coef, tol| CovConstraint::new(&x, coef, tol));
@@ -268,10 +249,7 @@ impl InProcessor for Zafar {
             return Err(CoreError::Infeasible("Zafar solve produced non-finite parameters".into()));
         }
         let (w, b) = params.split_at(x.cols());
-        Ok(Box::new(ZafarModel {
-            encoder,
-            model: LogisticRegression::from_params(w.to_vec(), b[0]),
-        }))
+        Ok(FittedModel::linear(encoder, LogisticRegression::from_params(w.to_vec(), b[0])))
     }
 }
 

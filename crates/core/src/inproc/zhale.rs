@@ -23,7 +23,8 @@ use fairlens_optim::adam::{AdamOptions, AdamState};
 use rand::rngs::StdRng;
 
 use crate::error::CoreError;
-use crate::pipeline::{InProcessor, TrainedModel};
+use crate::pipeline::InProcessor;
+use crate::snapshot::FittedModel;
 
 /// Which notion the adversary enforces (Zhang et al. support all three;
 /// the paper evaluates equalized odds).
@@ -65,25 +66,6 @@ impl ZhaLe {
     }
 }
 
-struct ZhaLeModel {
-    encoder: Encoder,
-    model: LogisticRegression,
-}
-
-impl TrainedModel for ZhaLeModel {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.model.predict(&self.encoder.transform(data).matrix)
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.model.predict_proba(&self.encoder.transform(data).matrix)
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::ModelSnapshot> {
-        Some(crate::snapshot::ModelSnapshot::linear(&self.encoder, &self.model))
-    }
-}
-
 /// Adversary features: `[p, p·y, y]` for equalized odds, `[p, 0, 0]` for
 /// demographic parity (the zeroed coordinates keep the parameter layout
 /// uniform).
@@ -96,7 +78,7 @@ fn adv_features(notion: ZhaLeNotion, p: f64, y: f64) -> [f64; 3] {
 }
 
 impl InProcessor for ZhaLe {
-    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError> {
+    fn train(&self, train: &Dataset, _rng: &mut StdRng) -> Result<FittedModel, CoreError> {
         // The classifier sees only X: withholding S removes the direct
         // discrimination channel, so the adversary only has the error
         // profile to attack (and the trained model is individually fair by
@@ -179,10 +161,7 @@ impl InProcessor for ZhaLe {
             return Err(CoreError::Infeasible("adversarial training diverged".into()));
         }
         let (weights, b) = w.split_at(d);
-        Ok(Box::new(ZhaLeModel {
-            encoder,
-            model: LogisticRegression::from_params(weights.to_vec(), b[0]),
-        }))
+        Ok(FittedModel::linear(encoder, LogisticRegression::from_params(weights.to_vec(), b[0])))
     }
 }
 

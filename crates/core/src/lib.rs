@@ -28,6 +28,12 @@
 //! [`fairlens_frame::Dataset`] — including its sensitive attribute, so the
 //! interventional causal-discrimination metric can flip `S` and re-predict
 //! through exactly the same code path the benchmark uses.
+//!
+//! A fitted pipeline is plain data: a [`FittedModel`] (encoder plus one
+//! logistic model or Kearns's mixture of them), optionally followed by one
+//! [`Adjuster`] rule. The same value predicts in the benchmark, is what a
+//! `.flm` [`ModelArtifact`] stores, and is what the server predicts with
+//! after loading one ([`snapshot`] holds the types and their JSON form).
 
 pub mod artifact;
 pub mod baseline;
@@ -44,13 +50,10 @@ pub use artifact::{
     prediction_row, write_lines_atomic, AttrSchema, AttrSchemaKind, DataSchema, ModelArtifact,
 };
 pub use error::CoreError;
-pub use snapshot::{
-    AdjusterSnapshot, LinearParams, ModelParams, ModelSnapshot, PipelineSnapshot,
-};
 pub use pipeline::{
-    Approach, ApproachKind, FittedPipeline, InProcessor, Postprocessor, PredictionAdjuster,
-    Preprocessor, Stage, TrainedModel,
+    Approach, ApproachKind, FittedPipeline, InProcessor, Postprocessor, Preprocessor, Stage,
 };
+pub use snapshot::{Adjuster, FittedModel, ModelParams};
 pub use registry::{
     all_approaches, approach_by_name, approaches_for_stage, baseline_approach,
     extended_approaches,

@@ -11,6 +11,12 @@
 //! * **in**: train the approach's own constrained model;
 //! * **post**: train the standard logistic regression, then fit a
 //!   prediction adjuster on its training-set probabilities.
+//!
+//! The stage traits are the extension points; what they produce is not.
+//! An in-processor returns a concrete [`FittedModel`] and a post-processor
+//! an [`Adjuster`], so every [`FittedPipeline`] is one of the few fitted
+//! states [`crate::snapshot`] lists, predicts through one code path, and
+//! is saved and loaded without conversion.
 
 use std::sync::Arc;
 
@@ -20,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::CoreError;
+use crate::snapshot::{Adjuster, FittedModel};
 
 /// The stage at which an approach enforces fairness (paper Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,73 +70,10 @@ pub trait Preprocessor: Send + Sync {
     }
 }
 
-/// A model trained by an in-processing approach.
-pub trait TrainedModel: Send + Sync {
-    /// Hard 0/1 predictions on (possibly counterfactual) data.
-    fn predict(&self, data: &Dataset) -> Vec<u8>;
-
-    /// Per-row scores `P(Y = 1 | x) ∈ [0, 1]`.
-    ///
-    /// The default degrades gracefully to the hard labels as 0/1 scores;
-    /// every in-tree model overrides this with its real probabilities.
-    /// Implementations must stay consistent with [`Self::predict`]
-    /// (`predict[i] == 1 ⇔ predict_proba[i] ≥ 0.5` under the model's own
-    /// thresholding).
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.predict(data).into_iter().map(f64::from).collect()
-    }
-
-    /// Labels and scores together, for callers that need both (the serve
-    /// flush path). Must be observationally identical to calling
-    /// [`Self::predict`] and [`Self::predict_proba`] separately; models
-    /// whose two paths share one decision pass override this to compute
-    /// that pass once.
-    fn predict_with_proba(&self, data: &Dataset) -> (Vec<u8>, Vec<f64>) {
-        (self.predict(data), self.predict_proba(data))
-    }
-
-    /// Persistable snapshot of the fitted state, or `None` when the state
-    /// is not expressible in the artifact format (see [`crate::snapshot`]).
-    fn snapshot(&self) -> Option<crate::snapshot::ModelSnapshot> {
-        None
-    }
-}
-
 /// An in-processing approach: constrained training.
 pub trait InProcessor: Send + Sync {
     /// Train on `train`, returning a predictor.
-    fn train(&self, train: &Dataset, rng: &mut StdRng) -> Result<Box<dyn TrainedModel>, CoreError>;
-}
-
-/// A fitted post-processing rule mapping base-classifier probabilities (and
-/// group membership) to adjusted hard predictions.
-pub trait PredictionAdjuster: Send + Sync {
-    /// Adjust predictions. `probs[i] = P(Y=1 | x_i)` from the base model.
-    fn adjust(&self, probs: &[f64], sensitive: &[u8], rng: &mut StdRng) -> Vec<u8>;
-
-    /// Deterministic adjusted scores: `E[Ỹ_i] = Pr(Ỹ_i = 1)` under the
-    /// rule's own randomness. For deterministic rules this is exactly the
-    /// 0/1 adjusted prediction; for randomised rules it is the expected
-    /// adjusted label. Defaults to plain 0.5-thresholding of `probs`.
-    fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
-        let _ = sensitive;
-        probs.iter().map(|&p| f64::from(u8::from(p >= 0.5))).collect()
-    }
-
-    /// Persistable snapshot of the fitted rule, or `None` when the rule is
-    /// not expressible in the artifact format (see [`crate::snapshot`]).
-    fn snapshot(&self) -> Option<crate::snapshot::AdjusterSnapshot> {
-        None
-    }
-
-    /// Whether [`Self::adjust`] consumes randomness. Stochastic rules make
-    /// the pipeline's hard predictions depend on the *composition* of the
-    /// batch they are called on (the RNG stream is shared across rows), so
-    /// callers that coalesce rows from different requests — the serving
-    /// batcher — must not merge batches for stochastic pipelines.
-    fn is_stochastic(&self) -> bool {
-        false
-    }
+    fn train(&self, train: &Dataset, rng: &mut StdRng) -> Result<FittedModel, CoreError>;
 }
 
 /// A post-processing approach: fits an adjuster from the base classifier's
@@ -142,7 +86,7 @@ pub trait Postprocessor: Send + Sync {
         y: &[u8],
         sensitive: &[u8],
         rng: &mut StdRng,
-    ) -> Result<Box<dyn PredictionAdjuster>, CoreError>;
+    ) -> Result<Adjuster, CoreError>;
 }
 
 /// The mechanism behind an [`Approach`].
@@ -184,92 +128,36 @@ impl std::fmt::Debug for Approach {
     }
 }
 
-/// The standard classifier of the benchmark: an [`Encoder`] +
-/// [`LogisticRegression`] pair trained on one dataset and applicable to any
-/// dataset with the same schema. The sensitive attribute is included as a
-/// feature (the AIF360 convention), which is what gives the baseline and the
-/// pre-/post-processing pipelines a non-trivial causal-discrimination
-/// surface.
-#[derive(Debug, Clone)]
-pub struct LrClassifier {
-    encoder: Encoder,
-    model: LogisticRegression,
+/// Train the standard classifier of the benchmark: logistic regression
+/// over the fitted encoding of `train`. `include_sensitive` controls
+/// whether `S` enters the encoding; the baseline and the post-processing
+/// base include it (the AIF360 convention), which is what gives them a
+/// non-trivial causal-discrimination surface.
+fn train_lr(train: &Dataset, include_sensitive: bool) -> Result<FittedModel, CoreError> {
+    let (encoder, feats) = {
+        let _span = fairlens_trace::span("encode");
+        let encoder = Encoder::fit(train, include_sensitive);
+        let feats = encoder.transform(train);
+        (encoder, feats)
+    };
+    let model =
+        LogisticRegression::fit(&feats.matrix, train.labels(), &LogisticOptions::default())?;
+    Ok(FittedModel::linear(encoder, model))
 }
 
-impl LrClassifier {
-    /// Train on `train`. `include_sensitive` controls whether `S` enters the
-    /// feature encoding.
-    pub fn train(train: &Dataset, include_sensitive: bool) -> Result<Self, CoreError> {
-        let (encoder, feats) = {
-            let _span = fairlens_trace::span("encode");
-            let encoder = Encoder::fit(train, include_sensitive);
-            let feats = encoder.transform(train);
-            (encoder, feats)
-        };
-        let model =
-            LogisticRegression::fit(&feats.matrix, train.labels(), &LogisticOptions::default())?;
-        Ok(Self { encoder, model })
-    }
-
-    /// Rebuild a trained classifier from persisted parts (the fitted
-    /// encoder plus logistic parameters) — the restore path of the model
-    /// artifact format.
-    pub fn from_parts(encoder: Encoder, model: LogisticRegression) -> Self {
-        Self { encoder, model }
-    }
-
-    /// The fitted feature encoder.
-    pub fn encoder(&self) -> &Encoder {
-        &self.encoder
-    }
-
-    /// `P(Y = 1 | x)` on a dataset.
-    pub fn proba(&self, data: &Dataset) -> Vec<f64> {
-        self.model.predict_proba(&self.encoder.transform(data).matrix)
-    }
-
-    /// Signed decision values.
-    pub fn decision(&self, data: &Dataset) -> Vec<f64> {
-        self.model.decision_function(&self.encoder.transform(data).matrix)
-    }
-
-    /// The inner regression model.
-    pub fn model(&self) -> &LogisticRegression {
-        &self.model
-    }
-}
-
-impl TrainedModel for LrClassifier {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.model.predict(&self.encoder.transform(data).matrix)
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.proba(data)
-    }
-
-    fn predict_with_proba(&self, data: &Dataset) -> (Vec<u8>, Vec<f64>) {
-        // One encode + one batched GEMV; both outputs derive from the same
-        // decision values, bit-identical to the two separate calls.
-        self.model.predict_with_proba(&self.encoder.transform(data).matrix)
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::ModelSnapshot> {
-        Some(crate::snapshot::ModelSnapshot::linear(&self.encoder, &self.model))
-    }
-}
-
-/// A fully trained pipeline ready to predict on fresh data.
+/// A fully trained pipeline ready to predict on fresh data. This is also
+/// the persisted form: [`crate::snapshot`] serializes it as it is.
+#[derive(Debug, Clone, PartialEq)]
 pub enum FittedPipeline {
     /// Baseline / pre / in: a plain predictor.
-    Model(Box<dyn TrainedModel>),
+    Model(FittedModel),
     /// Post: base classifier + prediction adjuster. The stored seed makes
     /// randomised adjusters (Pleiss) deterministic per `predict` call.
     Adjusted {
         /// The underlying fairness-unaware classifier.
-        base: LrClassifier,
+        base: FittedModel,
         /// The fitted adjustment rule.
-        adjuster: Box<dyn PredictionAdjuster>,
+        adjuster: Adjuster,
         /// Seed for prediction-time randomness.
         seed: u64,
     },
@@ -282,7 +170,7 @@ impl FittedPipeline {
         match self {
             FittedPipeline::Model(m) => m.predict(data),
             FittedPipeline::Adjusted { base, adjuster, seed } => {
-                let probs = base.proba(data);
+                let probs = base.predict_proba(data);
                 let mut rng = StdRng::seed_from_u64(*seed ^ data.n_rows() as u64);
                 adjuster.adjust(&probs, data.sensitive(), &mut rng)
             }
@@ -299,7 +187,7 @@ impl FittedPipeline {
         match self {
             FittedPipeline::Model(m) => m.predict_proba(data),
             FittedPipeline::Adjusted { base, adjuster, .. } => {
-                adjuster.scores(&base.proba(data), data.sensitive())
+                adjuster.scores(&base.predict_proba(data), data.sensitive())
             }
         }
     }
@@ -315,7 +203,7 @@ impl FittedPipeline {
         match self {
             FittedPipeline::Model(m) => m.predict_with_proba(data),
             FittedPipeline::Adjusted { base, adjuster, seed } => {
-                let probs = base.proba(data);
+                let probs = base.predict_proba(data);
                 let mut rng = StdRng::seed_from_u64(*seed ^ data.n_rows() as u64);
                 let labels = adjuster.adjust(&probs, data.sensitive(), &mut rng);
                 let scores = adjuster.scores(&probs, data.sensitive());
@@ -325,9 +213,9 @@ impl FittedPipeline {
     }
 
     /// Whether [`Self::predict`] draws randomness that couples rows within
-    /// a call (see [`PredictionAdjuster::is_stochastic`]). `false` means
-    /// per-row predictions are independent of batch composition, so a
-    /// serving layer may coalesce rows from different requests.
+    /// a call (see [`Adjuster::is_stochastic`]). `false` means per-row
+    /// predictions are independent of batch composition, so a serving
+    /// layer may coalesce rows from different requests.
     pub fn is_stochastic(&self) -> bool {
         match self {
             FittedPipeline::Model(_) => false,
@@ -343,9 +231,7 @@ impl Approach {
     pub fn fit(&self, train: &Dataset, seed: u64) -> Result<FittedPipeline, CoreError> {
         let mut rng = StdRng::seed_from_u64(seed);
         match &self.kind {
-            ApproachKind::Baseline => {
-                Ok(FittedPipeline::Model(Box::new(LrClassifier::train(train, true)?)))
-            }
+            ApproachKind::Baseline => Ok(FittedPipeline::Model(train_lr(train, true)?)),
             ApproachKind::Pre(p) => {
                 let repaired = {
                     let _span = fairlens_trace::span("repair");
@@ -355,12 +241,12 @@ impl Approach {
                     return Err(CoreError::BadInput("repair removed every tuple".into()));
                 }
                 let with_s = p.include_sensitive_in_model();
-                Ok(FittedPipeline::Model(Box::new(LrClassifier::train(&repaired, with_s)?)))
+                Ok(FittedPipeline::Model(train_lr(&repaired, with_s)?))
             }
             ApproachKind::In(i) => Ok(FittedPipeline::Model(i.train(train, &mut rng)?)),
             ApproachKind::Post(p) => {
-                let base = LrClassifier::train(train, true)?;
-                let probs = base.proba(train);
+                let base = train_lr(train, true)?;
+                let probs = base.predict_proba(train);
                 let adjuster = {
                     let _span = fairlens_trace::span("adjust");
                     p.fit(&probs, train.labels(), train.sensitive(), &mut rng)?
@@ -460,12 +346,6 @@ mod tests {
 
     #[test]
     fn threshold_adjuster_applies() {
-        struct AlwaysPositive;
-        impl PredictionAdjuster for AlwaysPositive {
-            fn adjust(&self, probs: &[f64], _s: &[u8], _rng: &mut StdRng) -> Vec<u8> {
-                vec![1; probs.len()]
-            }
-        }
         struct FitAlwaysPositive;
         impl Postprocessor for FitAlwaysPositive {
             fn fit(
@@ -474,8 +354,8 @@ mod tests {
                 _y: &[u8],
                 _s: &[u8],
                 _rng: &mut StdRng,
-            ) -> Result<Box<dyn PredictionAdjuster>, CoreError> {
-                Ok(Box::new(AlwaysPositive))
+            ) -> Result<Adjuster, CoreError> {
+                Ok(Adjuster::Hardt(crate::post::HardtRule { p: [[1.0; 2]; 2] }))
             }
         }
         let d = toy(100);

@@ -18,21 +18,23 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::pipeline::{Postprocessor, PredictionAdjuster};
+use crate::pipeline::Postprocessor;
+use crate::snapshot::Adjuster;
 
 /// The Hardt et al. equalized-odds post-processor.
 #[derive(Debug, Clone, Default)]
 pub struct Hardt;
 
 /// The fitted derived predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardtRule {
     /// `p[s][ŷ] = Pr(Ỹ = 1 | Ŷ = ŷ, S = s)`.
     pub p: [[f64; 2]; 2],
 }
 
-impl PredictionAdjuster for HardtRule {
-    fn adjust(&self, probs: &[f64], sensitive: &[u8], rng: &mut StdRng) -> Vec<u8> {
+impl HardtRule {
+    /// Draw `Ỹ` per row from the mixing probability of its `(S, Ŷ)` cell.
+    pub fn adjust(&self, probs: &[f64], sensitive: &[u8], rng: &mut StdRng) -> Vec<u8> {
         probs
             .iter()
             .zip(sensitive.iter())
@@ -44,21 +46,14 @@ impl PredictionAdjuster for HardtRule {
             .collect()
     }
 
-    fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
+    /// `Pr(Ỹ = 1)` per row.
+    pub fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
         // Pr(Ỹ = 1) is exactly the mixing probability of the (s, ŷ) cell.
         probs
             .iter()
             .zip(sensitive.iter())
             .map(|(&prob, &s)| self.p[s as usize][usize::from(prob >= 0.5)])
             .collect()
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::AdjusterSnapshot> {
-        Some(crate::snapshot::AdjusterSnapshot::Hardt { p: self.p })
-    }
-
-    fn is_stochastic(&self) -> bool {
-        true
     }
 }
 
@@ -145,8 +140,8 @@ impl Postprocessor for Hardt {
         y: &[u8],
         sensitive: &[u8],
         _rng: &mut StdRng,
-    ) -> Result<Box<dyn PredictionAdjuster>, CoreError> {
-        Ok(Box::new(Self::solve_rule(probs, y, sensitive)?))
+    ) -> Result<Adjuster, CoreError> {
+        Ok(Adjuster::Hardt(Self::solve_rule(probs, y, sensitive)?))
     }
 }
 

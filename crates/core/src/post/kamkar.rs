@@ -11,7 +11,8 @@
 use rand::rngs::StdRng;
 
 use crate::error::CoreError;
-use crate::pipeline::{Postprocessor, PredictionAdjuster};
+use crate::pipeline::Postprocessor;
+use crate::snapshot::Adjuster;
 
 /// The reject-option post-processor.
 #[derive(Debug, Clone)]
@@ -29,14 +30,16 @@ impl Default for KamKar {
 }
 
 /// The fitted reject-option rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KamKarRule {
     /// Critical-region confidence threshold.
     pub theta: f64,
 }
 
-impl PredictionAdjuster for KamKarRule {
-    fn adjust(&self, probs: &[f64], sensitive: &[u8], _rng: &mut StdRng) -> Vec<u8> {
+impl KamKarRule {
+    /// Override low-confidence predictions by group. The rule is
+    /// deterministic.
+    pub fn adjust(&self, probs: &[f64], sensitive: &[u8]) -> Vec<u8> {
         probs
             .iter()
             .zip(sensitive.iter())
@@ -53,23 +56,9 @@ impl PredictionAdjuster for KamKarRule {
             .collect()
     }
 
-    fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
-        // The rule is deterministic, so the score is the adjusted label.
-        probs
-            .iter()
-            .zip(sensitive.iter())
-            .map(|(&p, &s)| {
-                if p.max(1.0 - p) < self.theta {
-                    f64::from(1 - s)
-                } else {
-                    f64::from(u8::from(p >= 0.5))
-                }
-            })
-            .collect()
-    }
-
-    fn snapshot(&self) -> Option<crate::snapshot::AdjusterSnapshot> {
-        Some(crate::snapshot::AdjusterSnapshot::KamKar { theta: self.theta })
+    /// The adjusted labels as 0/1 scores: the rule is deterministic.
+    pub fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
+        self.adjust(probs, sensitive).into_iter().map(f64::from).collect()
     }
 }
 
@@ -79,8 +68,8 @@ impl Postprocessor for KamKar {
         probs: &[f64],
         _y: &[u8],
         sensitive: &[u8],
-        rng: &mut StdRng,
-    ) -> Result<Box<dyn PredictionAdjuster>, CoreError> {
+        _rng: &mut StdRng,
+    ) -> Result<Adjuster, CoreError> {
         if probs.is_empty() {
             return Err(CoreError::BadInput("no training predictions".into()));
         }
@@ -89,7 +78,7 @@ impl Postprocessor for KamKar {
         for k in 0..=self.grid {
             let theta = 0.5 + (self.theta_max - 0.5) * k as f64 / self.grid as f64;
             let rule = KamKarRule { theta };
-            let preds = rule.adjust(probs, sensitive, rng);
+            let preds = rule.adjust(probs, sensitive);
             let di = fairlens_metrics::disparate_impact(&preds, sensitive);
             let dist = if di.is_infinite() { f64::INFINITY } else { (di - 1.0).abs() };
             // prefer smaller θ on ties: less distortion
@@ -97,7 +86,7 @@ impl Postprocessor for KamKar {
                 best = (theta, dist);
             }
         }
-        Ok(Box::new(KamKarRule { theta: best.0 }))
+        Ok(Adjuster::KamKar(KamKarRule { theta: best.0 }))
     }
 }
 
@@ -139,21 +128,19 @@ mod tests {
     #[test]
     fn high_confidence_predictions_untouched() {
         let rule = KamKarRule { theta: 0.7 };
-        let mut rng = StdRng::seed_from_u64(2);
         let probs = [0.95, 0.05, 0.8, 0.2];
         let s = [0, 0, 1, 1];
-        assert_eq!(rule.adjust(&probs, &s, &mut rng), vec![1, 0, 1, 0]);
+        assert_eq!(rule.adjust(&probs, &s), vec![1, 0, 1, 0]);
     }
 
     #[test]
     fn critical_region_overrides_by_group() {
         let rule = KamKarRule { theta: 0.9 };
-        let mut rng = StdRng::seed_from_u64(3);
         // all four predictions are low-confidence
         let probs = [0.6, 0.4, 0.6, 0.4];
         let s = [0, 0, 1, 1];
         // unprivileged → 1, privileged → 0
-        assert_eq!(rule.adjust(&probs, &s, &mut rng), vec![1, 1, 0, 0]);
+        assert_eq!(rule.adjust(&probs, &s), vec![1, 1, 0, 0]);
     }
 
     #[test]

@@ -23,7 +23,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::error::CoreError;
-use crate::pipeline::{Postprocessor, PredictionAdjuster};
+use crate::pipeline::Postprocessor;
+use crate::snapshot::Adjuster;
 
 /// Which single cost the withholding equalises (Pleiss et al. support
 /// either, or a weighted combination; the paper evaluates equal
@@ -52,7 +53,7 @@ impl Pleiss {
 }
 
 /// The fitted withholding rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PleissRule {
     /// The group whose predictions are withheld (the higher-TPR one).
     pub favoured: u8,
@@ -62,8 +63,10 @@ pub struct PleissRule {
     pub mu: f64,
 }
 
-impl PredictionAdjuster for PleissRule {
-    fn adjust(&self, probs: &[f64], sensitive: &[u8], rng: &mut StdRng) -> Vec<u8> {
+impl PleissRule {
+    /// Withhold a random `α` fraction of the favoured group's predictions,
+    /// replacing each with a `Bern(μ)` draw.
+    pub fn adjust(&self, probs: &[f64], sensitive: &[u8], rng: &mut StdRng) -> Vec<u8> {
         probs
             .iter()
             .zip(sensitive.iter())
@@ -77,7 +80,8 @@ impl PredictionAdjuster for PleissRule {
             .collect()
     }
 
-    fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
+    /// `Pr(Ỹ = 1)` per row.
+    pub fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
         // Favoured tuples mix the thresholded prediction with a base-rate
         // draw: Pr(Ỹ = 1) = (1 − α)·1[p ≥ 0.5] + α·μ.
         probs
@@ -93,18 +97,6 @@ impl PredictionAdjuster for PleissRule {
             })
             .collect()
     }
-
-    fn snapshot(&self) -> Option<crate::snapshot::AdjusterSnapshot> {
-        Some(crate::snapshot::AdjusterSnapshot::Pleiss {
-            favoured: self.favoured,
-            alpha: self.alpha,
-            mu: self.mu,
-        })
-    }
-
-    fn is_stochastic(&self) -> bool {
-        true
-    }
 }
 
 impl Postprocessor for Pleiss {
@@ -114,7 +106,7 @@ impl Postprocessor for Pleiss {
         y: &[u8],
         sensitive: &[u8],
         _rng: &mut StdRng,
-    ) -> Result<Box<dyn PredictionAdjuster>, CoreError> {
+    ) -> Result<Adjuster, CoreError> {
         // Group rates of the base classifier and group base rates. For
         // equal opportunity the cost is the TPR (favoured = higher TPR);
         // for predictive equality it is the FPR (favoured = lower FPR).
@@ -160,7 +152,7 @@ impl Postprocessor for Pleiss {
             (gap / denom).clamp(0.0, 1.0)
         };
 
-        Ok(Box::new(PleissRule { favoured, alpha, mu }))
+        Ok(Adjuster::Pleiss(PleissRule { favoured, alpha, mu }))
     }
 }
 

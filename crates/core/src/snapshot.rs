@@ -1,127 +1,99 @@
-//! Persistable snapshots of fitted pipelines.
+//! Fitted state: the one form of a trained pipeline, live and persisted.
 //!
 //! Every trained pipeline in the workspace bottoms out in a small set of
 //! concrete states: a fitted [`Encoder`] plus logistic parameters (the
 //! baseline, every pre-processing pipeline, and the linear in-processing
 //! models), a mixture of logistic members (Kearns), and the three fitted
 //! post-processing rules (Hardt's mixing matrix, Pleiss's withholding
-//! rule, Kam-Kar's confidence threshold). The snapshot types here capture
-//! exactly that state, convert it to/from [`fairlens_json::Value`] trees
-//! with bit-exact floats, and [`PipelineSnapshot::restore`] rebuilds a
-//! [`FittedPipeline`] whose `predict` / `predict_proba` reproduce the
-//! original pipeline byte for byte.
+//! rule, Kam-Kar's confidence threshold). [`FittedModel`] and [`Adjuster`]
+//! are exactly those states. They predict, and they convert to/from
+//! [`fairlens_json::Value`] trees with bit-exact floats, so an artifact
+//! parsed back from disk *is* the pipeline that was saved: it predicts
+//! through the same code, byte for byte.
 //!
-//! The traits' `snapshot` hooks ([`crate::TrainedModel::snapshot`],
-//! [`crate::PredictionAdjuster::snapshot`]) return `None` for states the
-//! format cannot express; [`FittedPipeline::snapshot`] surfaces that as
-//! [`CoreError::Unsupported`] so callers (the `export_models` exporter)
-//! can report it per cell instead of panicking.
+//! Parsing validates what prediction relies on: widths match the encoder,
+//! a mixture has members, an adjusted pipeline has a linear base, and
+//! every fitted real parameter is finite (the JSON layer reads `null` as
+//! NaN, which would otherwise load and serve `null` scores).
 
 use fairlens_frame::{AttrEncoding, Dataset, Encoder};
 use fairlens_json::{object, Value};
+use fairlens_linalg::Matrix;
 use fairlens_model::LogisticRegression;
+use rand::rngs::StdRng;
 
-use crate::error::CoreError;
-use crate::pipeline::{FittedPipeline, LrClassifier, PredictionAdjuster, TrainedModel};
+use crate::pipeline::FittedPipeline;
 use crate::post::{HardtRule, KamKarRule, PleissRule};
 
-/// Fitted logistic parameters: `P(Y=1|x) = σ(w·x + b)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearParams {
-    /// Feature weights `w` (one per encoded column).
-    pub weights: Vec<f64>,
-    /// Intercept `b`.
-    pub intercept: f64,
-}
-
-impl LinearParams {
-    /// Capture a fitted regression model.
-    pub fn of(model: &LogisticRegression) -> Self {
-        Self { weights: model.weights().to_vec(), intercept: model.intercept() }
-    }
-
-    /// Rebuild the regression model.
-    pub fn to_model(&self) -> LogisticRegression {
-        LogisticRegression::from_params(self.weights.clone(), self.intercept)
-    }
-
-    fn to_value(&self) -> Value {
-        object([
-            ("weights", Value::from_f64s(self.weights.iter().copied())),
-            ("intercept", Value::from_f64(self.intercept)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let weights = field(v, "weights")?.clone().into_f64s()?;
-        let intercept = field(v, "intercept")?.clone().into_f64()?;
-        if weights.iter().any(|w| !w.is_finite()) || !intercept.is_finite() {
-            return Err("non-finite linear parameters".into());
-        }
-        Ok(Self { weights, intercept })
-    }
-}
-
-/// The parameter family of a snapshotted predictor.
+/// The parameter family of a fitted predictor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelParams {
-    /// A single logistic model.
-    Linear(LinearParams),
-    /// An averaged mixture of logistic members (Kearns's learner). The
-    /// prediction averages member probabilities and thresholds at 0.5, in
-    /// member order — the restore path replays the identical float
-    /// reduction so results stay bit-exact.
-    Mixture(Vec<LinearParams>),
+    /// A single logistic model: labels are `z ≥ 0`, scores `σ(z)`.
+    Linear(LogisticRegression),
+    /// An averaged mixture of logistic members (Kearns's learner): member
+    /// probabilities are summed in member order, divided once, and the
+    /// mean is thresholded at 0.5.
+    Mixture(Vec<LogisticRegression>),
 }
 
-/// A snapshotted predictor: fitted feature encoding + parameters.
+/// A fitted predictor: the training data's feature encoding plus
+/// parameters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ModelSnapshot {
+pub struct FittedModel {
     /// The fitted (training-data) feature encoder.
     pub encoder: Encoder,
     /// The fitted parameters.
     pub params: ModelParams,
 }
 
-impl ModelSnapshot {
-    /// Snapshot a single-logistic predictor.
-    pub fn linear(encoder: &Encoder, model: &LogisticRegression) -> Self {
-        Self { encoder: encoder.clone(), params: ModelParams::Linear(LinearParams::of(model)) }
+impl FittedModel {
+    /// A single-logistic predictor.
+    pub fn linear(encoder: Encoder, model: LogisticRegression) -> Self {
+        Self { encoder, params: ModelParams::Linear(model) }
     }
 
-    /// Snapshot a mixture-of-logistics predictor.
-    pub fn mixture<'a>(
-        encoder: &Encoder,
-        members: impl IntoIterator<Item = &'a LogisticRegression>,
-    ) -> Self {
-        Self {
-            encoder: encoder.clone(),
-            params: ModelParams::Mixture(members.into_iter().map(LinearParams::of).collect()),
+    fn encode(&self, data: &Dataset) -> Matrix {
+        self.encoder.transform(data).matrix
+    }
+
+    /// Hard 0/1 predictions on (possibly counterfactual) data.
+    pub fn predict(&self, data: &Dataset) -> Vec<u8> {
+        let x = self.encode(data);
+        match &self.params {
+            ModelParams::Linear(m) => m.predict(&x),
+            ModelParams::Mixture(ms) => mean_proba(ms, &x).into_iter().map(threshold).collect(),
         }
     }
 
-    /// Rebuild a live predictor from the snapshot.
-    pub fn restore(&self) -> Box<dyn TrainedModel> {
+    /// Per-row scores `P(Y = 1 | x) ∈ [0, 1]`.
+    pub fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
+        let x = self.encode(data);
         match &self.params {
-            ModelParams::Linear(p) => Box::new(RestoredLinear {
-                snapshot: self.clone(),
-                model: p.to_model(),
-            }),
-            ModelParams::Mixture(ps) => Box::new(RestoredMixture {
-                snapshot: self.clone(),
-                members: ps.iter().map(LinearParams::to_model).collect(),
-            }),
+            ModelParams::Linear(m) => m.predict_proba(&x),
+            ModelParams::Mixture(ms) => mean_proba(ms, &x),
+        }
+    }
+
+    /// Labels and scores from one encode and one decision pass,
+    /// bit-identical to [`Self::predict`] and [`Self::predict_proba`].
+    pub fn predict_with_proba(&self, data: &Dataset) -> (Vec<u8>, Vec<f64>) {
+        let x = self.encode(data);
+        match &self.params {
+            ModelParams::Linear(m) => m.predict_with_proba(&x),
+            ModelParams::Mixture(ms) => {
+                let probs = mean_proba(ms, &x);
+                (probs.iter().copied().map(threshold).collect(), probs)
+            }
         }
     }
 
     /// Serialize to a JSON value.
     pub fn to_value(&self) -> Value {
         let params = match &self.params {
-            ModelParams::Linear(p) => ("linear", p.to_value()),
-            ModelParams::Mixture(ps) => (
-                "mixture",
-                Value::Array(ps.iter().map(LinearParams::to_value).collect()),
-            ),
+            ModelParams::Linear(m) => ("linear", linear_to_value(m)),
+            ModelParams::Mixture(ms) => {
+                ("mixture", Value::Array(ms.iter().map(linear_to_value).collect()))
+            }
         };
         object([
             ("encoder", encoder_to_value(&self.encoder)),
@@ -136,22 +108,22 @@ impl ModelSnapshot {
         let kind = field(v, "kind")?.as_str().ok_or("model kind must be a string")?;
         let params = field(v, "params")?;
         let params = match kind {
-            "linear" => ModelParams::Linear(LinearParams::from_value(params)?),
+            "linear" => ModelParams::Linear(linear_from_value(params)?),
             "mixture" => ModelParams::Mixture(
                 params
                     .clone()
                     .into_array()?
                     .iter()
-                    .map(LinearParams::from_value)
+                    .map(linear_from_value)
                     .collect::<Result<_, _>>()?,
             ),
             other => return Err(format!("unknown model kind {other:?}")),
         };
         let width = encoder.width();
         let widths_ok = match &params {
-            ModelParams::Linear(p) => p.weights.len() == width,
-            ModelParams::Mixture(ps) => {
-                !ps.is_empty() && ps.iter().all(|p| p.weights.len() == width)
+            ModelParams::Linear(m) => m.weights().len() == width,
+            ModelParams::Mixture(ms) => {
+                !ms.is_empty() && ms.iter().all(|m| m.weights().len() == width)
             }
         };
         if !widths_ok {
@@ -161,114 +133,85 @@ impl ModelSnapshot {
     }
 }
 
-/// A predictor restored from a [`ModelSnapshot`] (single logistic model).
-struct RestoredLinear {
-    snapshot: ModelSnapshot,
-    model: LogisticRegression,
-}
-
-impl TrainedModel for RestoredLinear {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.model.predict(&self.snapshot.encoder.transform(data).matrix)
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.model.predict_proba(&self.snapshot.encoder.transform(data).matrix)
-    }
-
-    fn predict_with_proba(&self, data: &Dataset) -> (Vec<u8>, Vec<f64>) {
-        // One encode + one batched GEMV shared by both outputs.
-        self.model.predict_with_proba(&self.snapshot.encoder.transform(data).matrix)
-    }
-
-    fn snapshot(&self) -> Option<ModelSnapshot> {
-        Some(self.snapshot.clone())
-    }
-}
-
-/// A predictor restored from a [`ModelSnapshot`] (mixture). The member
-/// reduction mirrors Kearns's `MixtureModel` exactly: accumulate member
-/// probabilities in order, divide once, threshold at 0.5.
-struct RestoredMixture {
-    snapshot: ModelSnapshot,
-    members: Vec<LogisticRegression>,
-}
-
-impl RestoredMixture {
-    fn mean_proba(&self, data: &Dataset) -> Vec<f64> {
-        let x = self.snapshot.encoder.transform(data).matrix;
-        let mut acc = vec![0.0f64; x.rows()];
-        for m in &self.members {
-            for (a, p) in acc.iter_mut().zip(m.predict_proba(&x)) {
-                *a += p;
-            }
+/// The mixture's score: member probabilities accumulated in member order,
+/// divided once.
+fn mean_proba(members: &[LogisticRegression], x: &Matrix) -> Vec<f64> {
+    let mut acc = vec![0.0f64; x.rows()];
+    for m in members {
+        for (a, p) in acc.iter_mut().zip(m.predict_proba(x)) {
+            *a += p;
         }
-        let k = self.members.len() as f64;
-        acc.into_iter().map(|a| a / k).collect()
     }
+    let k = members.len() as f64;
+    acc.into_iter().map(|a| a / k).collect()
 }
 
-impl TrainedModel for RestoredMixture {
-    fn predict(&self, data: &Dataset) -> Vec<u8> {
-        self.mean_proba(data).into_iter().map(|p| u8::from(p >= 0.5)).collect()
-    }
-
-    fn predict_proba(&self, data: &Dataset) -> Vec<f64> {
-        self.mean_proba(data)
-    }
-
-    fn predict_with_proba(&self, data: &Dataset) -> (Vec<u8>, Vec<f64>) {
-        // One encode + member sweep; labels threshold the same means.
-        let probs = self.mean_proba(data);
-        let labels = probs.iter().map(|&p| u8::from(p >= 0.5)).collect();
-        (labels, probs)
-    }
-
-    fn snapshot(&self) -> Option<ModelSnapshot> {
-        Some(self.snapshot.clone())
-    }
+fn threshold(p: f64) -> u8 {
+    u8::from(p >= 0.5)
 }
 
-/// A snapshotted post-processing rule.
+fn linear_to_value(m: &LogisticRegression) -> Value {
+    object([
+        ("weights", Value::from_f64s(m.weights().iter().copied())),
+        ("intercept", Value::from_f64(m.intercept())),
+    ])
+}
+
+fn linear_from_value(v: &Value) -> Result<LogisticRegression, String> {
+    let weights = field(v, "weights")?.clone().into_f64s()?;
+    let intercept = field(v, "intercept")?.clone().into_f64()?;
+    if weights.iter().any(|w| !w.is_finite()) || !intercept.is_finite() {
+        return Err("non-finite linear parameters".into());
+    }
+    Ok(LogisticRegression::from_params(weights, intercept))
+}
+
+/// A fitted post-processing rule mapping base-classifier probabilities
+/// (and group membership) to adjusted predictions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AdjusterSnapshot {
-    /// Hardt's derived predictor `p[s][ŷ] = Pr(Ỹ=1 | Ŷ=ŷ, S=s)`.
-    Hardt {
-        /// The four mixing probabilities.
-        p: [[f64; 2]; 2],
-    },
+pub enum Adjuster {
+    /// Hardt's derived predictor.
+    Hardt(HardtRule),
     /// Pleiss's calibration-preserving withholding rule.
-    Pleiss {
-        /// The group whose predictions are withheld.
-        favoured: u8,
-        /// Withholding probability.
-        alpha: f64,
-        /// Base rate used for withheld draws.
-        mu: f64,
-    },
+    Pleiss(PleissRule),
     /// Kam-Kar's reject-option threshold.
-    KamKar {
-        /// Critical-region confidence threshold.
-        theta: f64,
-    },
+    KamKar(KamKarRule),
 }
 
-impl AdjusterSnapshot {
-    /// Rebuild the live adjustment rule.
-    pub fn restore(&self) -> Box<dyn PredictionAdjuster> {
-        match *self {
-            AdjusterSnapshot::Hardt { p } => Box::new(HardtRule { p }),
-            AdjusterSnapshot::Pleiss { favoured, alpha, mu } => {
-                Box::new(PleissRule { favoured, alpha, mu })
-            }
-            AdjusterSnapshot::KamKar { theta } => Box::new(KamKarRule { theta }),
+impl Adjuster {
+    /// Adjust predictions. `probs[i] = P(Y=1 | x_i)` from the base model.
+    pub fn adjust(&self, probs: &[f64], sensitive: &[u8], rng: &mut StdRng) -> Vec<u8> {
+        match self {
+            Adjuster::Hardt(r) => r.adjust(probs, sensitive, rng),
+            Adjuster::Pleiss(r) => r.adjust(probs, sensitive, rng),
+            Adjuster::KamKar(r) => r.adjust(probs, sensitive),
         }
+    }
+
+    /// Deterministic adjusted scores: `E[Ỹ_i] = Pr(Ỹ_i = 1)` under the
+    /// rule's own randomness. For a deterministic rule this is exactly
+    /// the 0/1 adjusted prediction.
+    pub fn scores(&self, probs: &[f64], sensitive: &[u8]) -> Vec<f64> {
+        match self {
+            Adjuster::Hardt(r) => r.scores(probs, sensitive),
+            Adjuster::Pleiss(r) => r.scores(probs, sensitive),
+            Adjuster::KamKar(r) => r.scores(probs, sensitive),
+        }
+    }
+
+    /// Whether [`Self::adjust`] consumes randomness. Stochastic rules make
+    /// the pipeline's hard predictions depend on the *composition* of the
+    /// batch they are called on (the RNG stream is shared across rows), so
+    /// callers that coalesce rows from different requests — the serving
+    /// batcher — must not merge batches for stochastic pipelines.
+    pub fn is_stochastic(&self) -> bool {
+        !matches!(self, Adjuster::KamKar(_))
     }
 
     /// Serialize to a JSON value.
     pub fn to_value(&self) -> Value {
-        match *self {
-            AdjusterSnapshot::Hardt { p } => object([
+        match self {
+            Adjuster::Hardt(HardtRule { p }) => object([
                 ("kind", Value::String("hardt".into())),
                 (
                     "p",
@@ -277,20 +220,22 @@ impl AdjusterSnapshot {
                     ),
                 ),
             ]),
-            AdjusterSnapshot::Pleiss { favoured, alpha, mu } => object([
+            Adjuster::Pleiss(PleissRule { favoured, alpha, mu }) => object([
                 ("kind", Value::String("pleiss".into())),
-                ("favoured", Value::Integer(favoured as u64)),
-                ("alpha", Value::from_f64(alpha)),
-                ("mu", Value::from_f64(mu)),
+                ("favoured", Value::Integer(u64::from(*favoured))),
+                ("alpha", Value::from_f64(*alpha)),
+                ("mu", Value::from_f64(*mu)),
             ]),
-            AdjusterSnapshot::KamKar { theta } => object([
+            Adjuster::KamKar(KamKarRule { theta }) => object([
                 ("kind", Value::String("kamkar".into())),
-                ("theta", Value::from_f64(theta)),
+                ("theta", Value::from_f64(*theta)),
             ]),
         }
     }
 
-    /// Parse back from a JSON value.
+    /// Parse back from a JSON value. Real parameters must be finite; no
+    /// `[0, 1]` range is imposed, because Hardt's simplex solution may sit
+    /// an ulp outside it.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let kind = field(v, "kind")?.as_str().ok_or("adjuster kind must be a string")?;
         match kind {
@@ -305,74 +250,39 @@ impl AdjusterSnapshot {
                     if row.len() != 2 {
                         return Err("hardt rule needs a 2×2 matrix".into());
                     }
+                    if row.iter().any(|x| !x.is_finite()) {
+                        return Err("hardt rule has a non-finite probability".into());
+                    }
                     p[s] = [row[0], row[1]];
                 }
-                Ok(AdjusterSnapshot::Hardt { p })
+                Ok(Adjuster::Hardt(HardtRule { p }))
             }
             "pleiss" => {
                 let favoured = field(v, "favoured")?.clone().into_u64()?;
                 if favoured > 1 {
                     return Err("pleiss favoured group must be 0 or 1".into());
                 }
-                Ok(AdjusterSnapshot::Pleiss {
+                Ok(Adjuster::Pleiss(PleissRule {
                     favoured: favoured as u8,
-                    alpha: field(v, "alpha")?.clone().into_f64()?,
-                    mu: field(v, "mu")?.clone().into_f64()?,
-                })
+                    alpha: finite_field(v, "alpha")?,
+                    mu: finite_field(v, "mu")?,
+                }))
             }
-            "kamkar" => Ok(AdjusterSnapshot::KamKar {
-                theta: field(v, "theta")?.clone().into_f64()?,
-            }),
+            "kamkar" => Ok(Adjuster::KamKar(KamKarRule { theta: finite_field(v, "theta")? })),
             other => Err(format!("unknown adjuster kind {other:?}")),
         }
     }
 }
 
-/// A snapshotted end-to-end pipeline — the persistable mirror of
-/// [`FittedPipeline`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum PipelineSnapshot {
-    /// Baseline / pre / in: a plain predictor.
-    Model(ModelSnapshot),
-    /// Post: base classifier + adjustment rule + the prediction-time seed.
-    Adjusted {
-        /// The fairness-unaware base classifier.
-        base: ModelSnapshot,
-        /// The fitted adjustment rule.
-        adjuster: AdjusterSnapshot,
-        /// Seed for prediction-time randomness (kept so a restored
-        /// pipeline replays the exact random draws of the original).
-        seed: u64,
-    },
-}
-
-impl PipelineSnapshot {
-    /// Rebuild a live pipeline that predicts byte-identically to the
-    /// pipeline this snapshot was taken from.
-    pub fn restore(&self) -> FittedPipeline {
-        match self {
-            PipelineSnapshot::Model(m) => FittedPipeline::Model(m.restore()),
-            PipelineSnapshot::Adjusted { base, adjuster, seed } => {
-                let ModelParams::Linear(p) = &base.params else {
-                    unreachable!("adjusted snapshots always carry a linear base");
-                };
-                FittedPipeline::Adjusted {
-                    base: LrClassifier::from_parts(base.encoder.clone(), p.to_model()),
-                    adjuster: adjuster.restore(),
-                    seed: *seed,
-                }
-            }
-        }
-    }
-
+impl FittedPipeline {
     /// Serialize to a JSON value.
     pub fn to_value(&self) -> Value {
         match self {
-            PipelineSnapshot::Model(m) => object([
+            FittedPipeline::Model(m) => object([
                 ("kind", Value::String("model".into())),
                 ("model", m.to_value()),
             ]),
-            PipelineSnapshot::Adjusted { base, adjuster, seed } => object([
+            FittedPipeline::Adjusted { base, adjuster, seed } => object([
                 ("kind", Value::String("adjusted".into())),
                 ("base", base.to_value()),
                 ("adjuster", adjuster.to_value()),
@@ -385,17 +295,15 @@ impl PipelineSnapshot {
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let kind = field(v, "kind")?.as_str().ok_or("pipeline kind must be a string")?;
         match kind {
-            "model" => Ok(PipelineSnapshot::Model(ModelSnapshot::from_value(field(
-                v, "model",
-            )?)?)),
+            "model" => Ok(FittedPipeline::Model(FittedModel::from_value(field(v, "model")?)?)),
             "adjusted" => {
-                let base = ModelSnapshot::from_value(field(v, "base")?)?;
+                let base = FittedModel::from_value(field(v, "base")?)?;
                 if !matches!(base.params, ModelParams::Linear(_)) {
                     return Err("adjusted pipeline base must be linear".into());
                 }
-                Ok(PipelineSnapshot::Adjusted {
+                Ok(FittedPipeline::Adjusted {
                     base,
-                    adjuster: AdjusterSnapshot::from_value(field(v, "adjuster")?)?,
+                    adjuster: Adjuster::from_value(field(v, "adjuster")?)?,
                     seed: field(v, "seed")?.clone().into_u64()?,
                 })
             }
@@ -404,33 +312,17 @@ impl PipelineSnapshot {
     }
 }
 
-impl FittedPipeline {
-    /// Snapshot this pipeline for persistence.
-    ///
-    /// Fails with [`CoreError::Unsupported`] if a component's fitted state
-    /// is not expressible in the artifact format (no in-tree approach
-    /// produces such a state; the hook exists for external `TrainedModel`
-    /// implementations).
-    pub fn snapshot(&self) -> Result<PipelineSnapshot, CoreError> {
-        match self {
-            FittedPipeline::Model(m) => m.snapshot().map(PipelineSnapshot::Model).ok_or_else(
-                || CoreError::Unsupported("model state cannot be snapshotted".into()),
-            ),
-            FittedPipeline::Adjusted { base, adjuster, seed } => {
-                let base_snapshot = TrainedModel::snapshot(base).ok_or_else(|| {
-                    CoreError::Unsupported("base classifier cannot be snapshotted".into())
-                })?;
-                let adjuster = adjuster.snapshot().ok_or_else(|| {
-                    CoreError::Unsupported("adjustment rule cannot be snapshotted".into())
-                })?;
-                Ok(PipelineSnapshot::Adjusted { base: base_snapshot, adjuster, seed: *seed })
-            }
-        }
-    }
-}
-
 fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
     v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+fn finite_field(v: &Value, key: &str) -> Result<f64, String> {
+    let x = field(v, key)?.clone().into_f64()?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(format!("field {key:?} must be finite"))
+    }
 }
 
 fn encoder_to_value(encoder: &Encoder) -> Value {
@@ -471,8 +363,8 @@ fn encoder_from_value(v: &Value) -> Result<Encoder, String> {
             let kind = field(a, "kind")?.as_str().ok_or("encoding kind must be a string")?;
             match kind {
                 "numeric" => Ok(AttrEncoding::Numeric {
-                    mean: field(a, "mean")?.clone().into_f64()?,
-                    std: field(a, "std")?.clone().into_f64()?,
+                    mean: finite_field(a, "mean")?,
+                    std: finite_field(a, "std")?,
                 }),
                 "one_hot" => Ok(AttrEncoding::OneHot {
                     levels: field(a, "levels")?.clone().into_u64()? as usize,
@@ -521,29 +413,25 @@ mod tests {
     fn baseline_snapshot_restores_bit_exactly() {
         let d = toy(300);
         let fitted = baseline_approach().fit(&d, 7).unwrap();
-        let snap = fitted.snapshot().unwrap();
-        let text = snap.to_value().to_json();
-        let back = PipelineSnapshot::from_value(&fairlens_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        let restored = back.restore();
-        assert_eq!(restored.predict(&d), fitted.predict(&d));
-        for (a, b) in restored.predict_proba(&d).iter().zip(fitted.predict_proba(&d)) {
+        let text = fitted.to_value().to_json();
+        let back = FittedPipeline::from_value(&fairlens_json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, fitted);
+        assert_eq!(back.predict(&d), fitted.predict(&d));
+        for (a, b) in back.predict_proba(&d).iter().zip(fitted.predict_proba(&d)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
     fn adjuster_snapshots_round_trip() {
-        for snap in [
-            AdjusterSnapshot::Hardt { p: [[0.25, 1.0], [0.0, 0.75]] },
-            AdjusterSnapshot::Pleiss { favoured: 1, alpha: 0.3, mu: 0.61 },
-            AdjusterSnapshot::KamKar { theta: 0.7 },
+        for rule in [
+            Adjuster::Hardt(HardtRule { p: [[0.25, 1.0], [0.0, 0.75]] }),
+            Adjuster::Pleiss(PleissRule { favoured: 1, alpha: 0.3, mu: 0.61 }),
+            Adjuster::KamKar(KamKarRule { theta: 0.7 }),
         ] {
-            let text = snap.to_value().to_json();
-            let back =
-                AdjusterSnapshot::from_value(&fairlens_json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, snap);
-            let _rule = back.restore();
+            let text = rule.to_value().to_json();
+            let back = Adjuster::from_value(&fairlens_json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, rule);
         }
     }
 
@@ -556,11 +444,11 @@ mod tests {
             LogisticRegression::from_params(vec![-0.4; enc.width()], 0.3),
             LogisticRegression::from_params(vec![0.05; enc.width()], 0.0),
         ];
-        let snap = ModelSnapshot::mixture(&enc, &members);
-        let text = snap.to_value().to_json();
-        let back = ModelSnapshot::from_value(&fairlens_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        let restored = back.restore();
+        let model =
+            FittedModel { encoder: enc.clone(), params: ModelParams::Mixture(members.clone()) };
+        let text = model.to_value().to_json();
+        let back = FittedModel::from_value(&fairlens_json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, model);
         // reference reduction: accumulate then divide, like Kearns
         let x = enc.transform(&d).matrix;
         let mut acc = vec![0.0f64; d.n_rows()];
@@ -571,7 +459,7 @@ mod tests {
         }
         let expect: Vec<u8> =
             acc.iter().map(|a| u8::from(a / members.len() as f64 >= 0.5)).collect();
-        assert_eq!(restored.predict(&d), expect);
+        assert_eq!(back.predict(&d), expect);
     }
 
     #[test]
@@ -582,18 +470,17 @@ mod tests {
             "{\"kind\":\"adjusted\",\"base\":{},\"adjuster\":{},\"seed\":1}",
         ] {
             let v = fairlens_json::parse(bad).unwrap();
-            assert!(PipelineSnapshot::from_value(&v).is_err(), "{bad}");
+            assert!(FittedPipeline::from_value(&v).is_err(), "{bad}");
         }
         // width mismatch between encoder and parameters
         let d = toy(50);
         let enc = Encoder::fit(&d, true);
-        let snap = ModelSnapshot::linear(
-            &enc,
-            &LogisticRegression::from_params(vec![0.0; enc.width()], 0.0),
-        );
-        let mut text = snap.to_value().to_json();
+        let width = enc.width();
+        let model =
+            FittedModel::linear(enc, LogisticRegression::from_params(vec![0.0; width], 0.0));
+        let mut text = model.to_value().to_json();
         text = text.replacen("\"weights\":[", "\"weights\":[9.0,", 1);
         let v = fairlens_json::parse(&text).unwrap();
-        assert!(ModelSnapshot::from_value(&v).is_err());
+        assert!(FittedModel::from_value(&v).is_err());
     }
 }

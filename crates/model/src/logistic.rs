@@ -115,7 +115,10 @@ impl LogisticRegression {
                 Ok(p) => p,
                 // Singular Newton system (e.g. perfectly collinear one-hot
                 // columns with λ = 0): fall back to first-order.
-                Err(()) => Self::fit_gd(x, y, sample_weights, opts, observe),
+                Err(()) => {
+                    fairlens_trace::event("irls.fallback");
+                    Self::fit_gd(x, y, sample_weights, opts, observe)
+                }
             },
             Solver::GradientDescent => Self::fit_gd(x, y, sample_weights, opts, observe),
         };
@@ -146,6 +149,7 @@ impl LogisticRegression {
         let total_w: f64 = sample_weights.map_or(n as f64, |w| w.iter().sum());
 
         for it in 0..opts.max_iter {
+            fairlens_trace::incr("irls.iterations", 1);
             // One GEMV for all margins, then the elementwise link, then one
             // transposed GEMV for the gradient — the three matrix kernels
             // dominate the iteration and all run blocked.

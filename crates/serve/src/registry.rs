@@ -2,7 +2,7 @@
 //!
 //! At startup the registry parses every `*.flm` artifact in the models
 //! directory once, keeping only provenance metadata (the listing for
-//! `GET /v1/models`). Pipelines are restored lazily on first use and held
+//! `GET /v1/models`). Pipelines are loaded lazily on first use and held
 //! in an LRU of at most `max_loaded` workers; evicting a worker drops its
 //! job channel, which drains in-flight work and joins the executor thread
 //! before the pipeline is freed (see [`ModelWorker`]'s `Drop`).
@@ -17,10 +17,10 @@
 //! * **Executor respawn.** A dead executor (its thread killed by a
 //!   panic) is dropped from the LRU — either when a handler reports
 //!   [`ModelOutcome::Dead`] or when `checkout` notices the cached worker
-//!   finished — and the next admitted request restores the pipeline from
+//!   finished — and the next admitted request reloads the pipeline from
 //!   the artifact into a fresh executor. The HTTP worker never panics.
 //! * **Negative caching (quarantine).** An artifact that fails to parse
-//!   or restore — at scan or on a lazy load — is quarantined: the id is
+//!   — at scan or on a lazy load — is quarantined: the id is
 //!   marked `unloadable` in `GET /v1/models`, every predict gets an
 //!   immediate 503 (+ `Retry-After`), and the file is never re-read and
 //!   re-failed per request. Quarantine is permanent until restart (a
@@ -36,7 +36,6 @@
 //!   a dirty or empty window is a structured 409.
 
 use std::collections::{BTreeMap, HashMap};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use fairlens_core::{DataSchema, ModelArtifact};
@@ -144,7 +143,6 @@ struct ShadowState {
     /// The candidate as parsed and verified at attach: what promote
     /// installs, whatever happens to the file at `path` afterwards.
     artifact: ModelArtifact,
-    stochastic: bool,
     worker: Arc<ModelWorker>,
     compared: u64,
     diverged: u64,
@@ -156,7 +154,7 @@ pub struct Registry {
     /// Mutexed (and `Arc`-valued) so a cutover can swap an entry for the
     /// freshly installed artifact while handlers hold the old metadata.
     infos: Mutex<BTreeMap<String, Arc<ModelInfo>>>,
-    /// id → reason, for artifacts that failed to load or restore.
+    /// id → reason, for artifacts that failed to load.
     quarantined: Mutex<BTreeMap<String, String>>,
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
     loaded: Mutex<LruState>,
@@ -204,9 +202,9 @@ impl Registry {
             else {
                 continue;
             };
-            match load_artifact(&path) {
-                Ok((a, stochastic)) => {
-                    infos.insert(id.clone(), Arc::new(info_from(id, path.clone(), a, stochastic)));
+            match ModelArtifact::load(&path) {
+                Ok(a) => {
+                    infos.insert(id.clone(), Arc::new(info_from(id, path.clone(), a)));
                 }
                 Err(reason) => {
                     eprintln!("[serve] quarantining {}: {reason}", path.display());
@@ -361,13 +359,13 @@ impl Registry {
                 return Ok(worker.clone());
             }
             // Executor thread gone: drop the corpse and fall through to
-            // a fresh restore from the artifact.
+            // a fresh load from the artifact.
             lru.map.remove(id);
             self.metrics.set_queue_depth(id, 0);
             eprintln!("[serve] respawning dead executor for model {id:?}");
         }
-        let pipeline = match load_artifact(&info.path) {
-            Ok((artifact, _)) => artifact.restore(),
+        let pipeline = match ModelArtifact::load(&info.path) {
+            Ok(artifact) => artifact.pipeline,
             Err(reason) => {
                 // Negative-cache the failure: quarantine the id so the
                 // next request fails fast instead of re-reading the file.
@@ -448,13 +446,13 @@ impl Registry {
     }
 
     /// Attach a shadow candidate to incumbent `id`: the candidate must
-    /// load, restore, and carry the incumbent's exact input schema (a
+    /// load and carry the incumbent's exact input schema (a
     /// shadow that cannot score the same requests is a config error, not
     /// a divergence). The candidate gets its own executor immediately —
     /// a broken artifact fails the attach, not the first live comparison.
     pub fn attach_shadow(&self, id: &str, path: &Path) -> Result<(), String> {
         let info = self.info(id).ok_or_else(|| format!("no incumbent model {id:?}"))?;
-        let (artifact, stochastic) = load_artifact(path)
+        let artifact = ModelArtifact::load(path)
             .map_err(|e| format!("candidate {} failed to load: {e}", path.display()))?;
         if artifact.schema != info.schema {
             return Err(format!(
@@ -465,7 +463,7 @@ impl Registry {
         let worker = Arc::new(ModelWorker::spawn(
             &format!("{id}#shadow"),
             artifact.schema.clone(),
-            artifact.restore(),
+            artifact.pipeline.clone(),
             self.cfg,
             self.metrics.clone(),
             self.faults.clone(),
@@ -475,7 +473,6 @@ impl Registry {
             ShadowState {
                 path: path.to_path_buf(),
                 artifact,
-                stochastic,
                 worker,
                 compared: 0,
                 diverged: 0,
@@ -582,12 +579,7 @@ impl Registry {
             )
         })?;
         let compared = state.compared;
-        let promoted = info_from(
-            id.to_string(),
-            info.path.clone(),
-            state.artifact.clone(),
-            state.stochastic,
-        );
+        let promoted = info_from(id.to_string(), info.path.clone(), state.artifact.clone());
         self.install(&mut shadows, promoted);
         eprintln!(
             "[serve] promoted shadow candidate for model {id:?} \
@@ -621,7 +613,7 @@ impl Registry {
             .info(id)
             .map(|i| i.path.clone())
             .unwrap_or_else(|| self.dir.join(format!("{id}.flm")));
-        let (artifact, stochastic) = load_artifact(&path).map_err(|reason| {
+        let artifact = ModelArtifact::load(&path).map_err(|reason| {
             // The file on disk is (still) bad: keep or enter quarantine
             // so per-request traffic keeps getting the cached 503.
             eprintln!("[serve] refresh of model {id:?} failed: {reason}");
@@ -633,7 +625,7 @@ impl Registry {
             )
             .with_retry_after(QUARANTINE_RETRY_AFTER)
         })?;
-        let refreshed = info_from(id.to_string(), path, artifact, stochastic);
+        let refreshed = info_from(id.to_string(), path, artifact);
         self.install(&mut self.shadows.lock().unwrap(), refreshed);
         eprintln!("[serve] refreshed model {id:?} from disk");
         Ok(())
@@ -672,7 +664,7 @@ impl Registry {
 /// spin.
 const QUARANTINE_RETRY_AFTER: u64 = 30;
 
-fn info_from(id: String, path: PathBuf, a: ModelArtifact, stochastic: bool) -> ModelInfo {
+fn info_from(id: String, path: PathBuf, a: ModelArtifact) -> ModelInfo {
     ModelInfo {
         id,
         path,
@@ -682,20 +674,9 @@ fn info_from(id: String, path: PathBuf, a: ModelArtifact, stochastic: bool) -> M
         seed: a.seed,
         train_rows: a.train_rows,
         train_metrics: a.train_metrics,
-        stochastic,
+        stochastic: a.pipeline.is_stochastic(),
         schema: a.schema,
     }
-}
-
-/// Parse an artifact and prove it restores (the restore result also
-/// yields the stochasticity flag for the listing). Any parse error or
-/// restore panic becomes a quarantine reason.
-fn load_artifact(path: &Path) -> Result<(ModelArtifact, bool), String> {
-    let artifact = ModelArtifact::load(path)?;
-    let stochastic =
-        std::panic::catch_unwind(AssertUnwindSafe(|| artifact.restore().is_stochastic()))
-            .map_err(|_| "artifact restore panicked".to_string())?;
-    Ok((artifact, stochastic))
 }
 
 #[cfg(test)]
@@ -711,7 +692,6 @@ mod tests {
         let fitted = approach.fit(&data, seed).unwrap();
         let metrics = vec![("accuracy".into(), 0.5)];
         ModelArtifact::new(&approach, kind.name(), &data, &fitted, seed, metrics)
-            .unwrap()
             .save(&dir.join(format!("{id}.flm")))
             .unwrap();
     }
@@ -761,6 +741,32 @@ mod tests {
         let err = reg.model("broken").unwrap_err();
         assert_eq!(err.kind, ErrorKind::Unavailable);
         assert_eq!(err.retry_after, Some(QUARANTINE_RETRY_AFTER));
+        assert!(metrics.render().contains("fairlens_model_load_failures_total 1"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn null_fitted_parameter_is_quarantined_not_served() {
+        // The JSON layer reads `null` as NaN: a rule whose threshold is
+        // null must fail the load, not serve `null` scores.
+        let dir = temp_dir("null-theta");
+        let data = DatasetKind::German.generate(200, 5);
+        let approach = fairlens_core::approach_by_name("KamKar^DP").unwrap();
+        let fitted = approach.fit(&data, 5).unwrap();
+        let text = ModelArtifact::new(&approach, "German", &data, &fitted, 5, vec![]).to_json();
+        let at = text.find("\"theta\":").unwrap() + "\"theta\":".len();
+        let end = at + text[at..].find('}').unwrap();
+        std::fs::write(dir.join("kamkar.flm"), format!("{}null{}", &text[..at], &text[end..]))
+            .unwrap();
+        let metrics = Arc::new(Metrics::new());
+        let reg = scan(&dir, 4, metrics.clone());
+        assert!(reg.list().is_empty());
+        let q = reg.quarantined();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].0, "kamkar");
+        assert!(q[0].1.contains("theta"), "{}", q[0].1);
+        let err = reg.model("kamkar").unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Unavailable);
         assert!(metrics.render().contains("fairlens_model_load_failures_total 1"));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -42,8 +42,7 @@ pub fn export_on(
         .unwrap_or_else(|| panic!("no approach {approach_name:?}"));
     let fitted = approach.fit(&data, seed).unwrap();
     let metrics = vec![("accuracy".into(), 0.75)];
-    let artifact =
-        ModelArtifact::new(&approach, kind.name(), &data, &fitted, seed, metrics).unwrap();
+    let artifact = ModelArtifact::new(&approach, kind.name(), &data, &fitted, seed, metrics);
     artifact.save(&dir.join(format!("{id}.flm"))).unwrap();
     (fitted, artifact.schema)
 }

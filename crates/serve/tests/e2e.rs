@@ -563,7 +563,8 @@ fn shadow_with_identical_candidate_stays_clean_and_promotes() {
 
 #[test]
 fn shadow_divergence_increments_counters_and_blocks_promote() {
-    use fairlens_core::snapshot::{ModelParams, PipelineSnapshot};
+    use fairlens_core::{FittedPipeline, ModelParams};
+    use fairlens_model::LogisticRegression;
 
     let dir = temp_models_dir("shadow-dirty");
     let (fitted, schema) = export(&dir, "german-lr", "LR", 83);
@@ -574,15 +575,17 @@ fn shadow_divergence_increments_counters_and_blocks_promote() {
     let cand_dir = temp_models_dir("shadow-dirty-cand");
     let candidate = cand_dir.join("candidate.flm");
     let mut artifact = ModelArtifact::load(&dir.join("german-lr.flm")).unwrap();
-    let snapshot = match &mut artifact.pipeline {
-        PipelineSnapshot::Model(m) => m,
-        PipelineSnapshot::Adjusted { base, .. } => base,
+    let base = match &mut artifact.pipeline {
+        FittedPipeline::Model(m) => m,
+        FittedPipeline::Adjusted { base, .. } => base,
     };
-    let w = match &mut snapshot.params {
-        ModelParams::Linear(p) => p.weights.first_mut().unwrap(),
-        ModelParams::Mixture(ps) => ps.first_mut().unwrap().weights.first_mut().unwrap(),
+    let model = match &mut base.params {
+        ModelParams::Linear(m) => m,
+        ModelParams::Mixture(ms) => ms.first_mut().unwrap(),
     };
-    *w = f64::from_bits(w.to_bits() ^ (1 << 8));
+    let mut weights = model.weights().to_vec();
+    weights[0] = f64::from_bits(weights[0].to_bits() ^ (1 << 8));
+    *model = LogisticRegression::from_params(weights, model.intercept());
     artifact.save(&candidate).unwrap();
     let (addr, handle) = launch(&dir, |_| {});
     attach_shadow(&addr, "german-lr", &candidate);
@@ -841,8 +844,9 @@ fn skewed_feedback_drives_drift_to_alerting() {
 
 #[test]
 fn flipped_artifact_drives_label_free_drift_into_alerting() {
-    use fairlens_core::snapshot::{ModelParams, PipelineSnapshot};
+    use fairlens_core::{FittedPipeline, ModelParams};
     use fairlens_metrics::di_star;
+    use fairlens_model::LogisticRegression;
 
     let dir = temp_models_dir("drift-flip");
     let (fitted, schema) = export(&dir, "german-lr", "LR", 47);
@@ -859,17 +863,15 @@ fn flipped_artifact_drives_label_free_drift_into_alerting() {
     let path = dir.join("german-lr.flm");
     let mut artifact = ModelArtifact::load(&path).unwrap();
     artifact.train_metrics = vec![("di_star".into(), baseline_di)];
-    let snapshot = match &mut artifact.pipeline {
-        PipelineSnapshot::Model(m) => m,
-        PipelineSnapshot::Adjusted { base, .. } => base,
+    let base = match &mut artifact.pipeline {
+        FittedPipeline::Model(m) => m,
+        FittedPipeline::Adjusted { base, .. } => base,
     };
-    let negate = |p: &mut fairlens_core::snapshot::LinearParams| {
-        for w in &mut p.weights {
-            *w = -*w;
-        }
-        p.intercept = -p.intercept;
+    let negate = |m: &mut LogisticRegression| {
+        let weights = m.weights().iter().map(|w| -w).collect();
+        *m = LogisticRegression::from_params(weights, -m.intercept());
     };
-    match &mut snapshot.params {
+    match &mut base.params {
         ModelParams::Linear(p) => negate(p),
         ModelParams::Mixture(ps) => ps.iter_mut().for_each(negate),
     }
@@ -879,7 +881,7 @@ fn flipped_artifact_drives_label_free_drift_into_alerting() {
     // model's group outcomes differ measurably from the baseline, and
     // both values are defined. The drift threshold is set to half that
     // gap, so every full-window evaluation below must breach.
-    let flipped_di = di_star(&artifact.pipeline.restore().predict(&offline), offline.sensitive());
+    let flipped_di = di_star(&artifact.pipeline.predict(&offline), offline.sensitive());
     let gap = (flipped_di - baseline_di).abs();
     assert!(
         baseline_di.is_finite() && flipped_di.is_finite() && gap > 0.01,

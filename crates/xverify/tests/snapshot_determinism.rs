@@ -1,8 +1,8 @@
-//! Snapshot/restore determinism, checked with the cross-verification
+//! Save/load determinism, checked with the cross-verification
 //! tolerances.
 //!
 //! A saved model must reproduce the original's predictions after a full
-//! snapshot → save → load → restore round trip. For deterministic
+//! save → load round trip. For deterministic
 //! pipelines (baseline, pre-, in-processing, and the deterministic
 //! post-processors) the restored score stream must be **bit-exact**
 //! ([`Tolerance::Exact`]). The stochastic post-processors (Hardt^EO,
@@ -36,8 +36,7 @@ fn round_trip(name: &str, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<u8>, Vec<u8>) {
         .join(format!("flm-snap-{}-{}", seed, std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{}.flm", name.replace(['^', '(', ')', '.'], "-")));
-    let artifact =
-        ModelArtifact::new(&approach, "German", &train, &fitted, seed, vec![]).unwrap();
+    let artifact = ModelArtifact::new(&approach, "German", &train, &fitted, seed, vec![]);
     artifact.save(&path).unwrap();
     let restored = ModelArtifact::load(&path).unwrap().restore();
     let _ = std::fs::remove_dir_all(&dir);
