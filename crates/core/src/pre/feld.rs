@@ -14,6 +14,11 @@
 //! are re-assigned levels with exactly the transport probabilities that
 //! realise the target marginal (Feldman et al.'s combinatorial repair, in
 //! its randomised form).
+//!
+//! A numeric column's quantiles come from one sort of each group's rows and
+//! one sweep over that order, and the repaired columns replace the
+//! originals in one step, so a repair costs `O(n log n)` per column and one
+//! dataset copy.
 
 use fairlens_frame::{Column, Dataset};
 use rand::rngs::StdRng;
@@ -40,36 +45,74 @@ impl Feld {
     }
 
     /// Repair one numeric column against the group labels.
+    ///
+    /// Each group's rows are sorted by value once; one sweep over that
+    /// order then gives every tie block its mid-rank `(lo + hi) / 2`, and
+    /// with it the quantile `q = rank / |group|` of each of its values.
+    /// The sort is stable and `==` ties `-0.0` with `0.0`, so the sorted
+    /// values and the tie blocks are bit for bit those of sorting the
+    /// values themselves.
     fn repair_column(&self, values: &[f64], sensitive: &[u8]) -> Vec<f64> {
-        // Per-group sorted copies for quantile lookups.
-        let mut groups: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        for (&v, &s) in values.iter().zip(sensitive.iter()) {
-            groups[s as usize].push(v);
+        let mut order: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+        for (r, &s) in sensitive.iter().enumerate() {
+            order[s as usize].push(r);
         }
-        for g in groups.iter_mut() {
-            g.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        }
-        if groups[0].is_empty() || groups[1].is_empty() {
+        if order[0].is_empty() || order[1].is_empty() {
             return values.to_vec(); // single-group data: nothing to equalise
         }
+        for rows in order.iter_mut() {
+            rows.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap());
+        }
+        // Per-group sorted values for the quantile lookups.
+        let groups: [Vec<f64>; 2] =
+            order.each_ref().map(|rows| rows.iter().map(|&r| values[r]).collect());
 
-        // Rank of a value within its own group → quantile q; target =
-        // midpoint of the two group-conditional quantile values.
-        values
-            .iter()
-            .zip(sensitive.iter())
-            .map(|(&v, &s)| {
-                let own = &groups[s as usize];
-                // mid-rank of v in its own group (handles ties symmetrically)
-                let lo = own.partition_point(|&x| x < v);
-                let hi = own.partition_point(|&x| x <= v);
+        // Target = midpoint of the two group-conditional quantile values.
+        let mut out = vec![0.0; values.len()];
+        for (rows, own) in order.iter().zip(&groups) {
+            let mut lo = 0;
+            while lo < own.len() {
+                let hi = lo + own[lo..].iter().take_while(|&&x| x == own[lo]).count();
                 let rank = (lo + hi) as f64 / 2.0;
                 let q = rank / own.len() as f64;
                 let target = 0.5 * (quantile(&groups[0], q) + quantile(&groups[1], q));
-                (1.0 - self.lambda) * v + self.lambda * target
-            })
-            .collect()
+                for &r in &rows[lo..hi] {
+                    out[r] = (1.0 - self.lambda) * values[r] + self.lambda * target;
+                }
+                lo = hi;
+            }
+        }
+        out
     }
+}
+
+/// The per-row mid-rank [`Feld::repair_column`] replaced: two binary
+/// searches of the row's value in its own sorted group.
+#[cfg(test)]
+fn repair_column_by_search(lambda: f64, values: &[f64], sensitive: &[u8]) -> Vec<f64> {
+    let mut groups: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    for (&v, &s) in values.iter().zip(sensitive.iter()) {
+        groups[s as usize].push(v);
+    }
+    for g in groups.iter_mut() {
+        g.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    }
+    if groups[0].is_empty() || groups[1].is_empty() {
+        return values.to_vec();
+    }
+    values
+        .iter()
+        .zip(sensitive.iter())
+        .map(|(&v, &s)| {
+            let own = &groups[s as usize];
+            let lo = own.partition_point(|&x| x < v);
+            let hi = own.partition_point(|&x| x <= v);
+            let rank = (lo + hi) as f64 / 2.0;
+            let q = rank / own.len() as f64;
+            let target = 0.5 * (quantile(&groups[0], q) + quantile(&groups[1], q));
+            (1.0 - lambda) * v + lambda * target
+        })
+        .collect()
 }
 
 /// Value at quantile `q ∈ [0, 1]` of an ascending-sorted slice (nearest
@@ -158,31 +201,79 @@ impl Preprocessor for Feld {
     }
 
     fn repair(&self, train: &Dataset, rng: &mut StdRng) -> Result<Dataset, CoreError> {
-        let mut out = train.clone();
-        for i in 0..train.n_attrs() {
-            match train.column(i) {
+        let columns = train
+            .columns()
+            .iter()
+            .map(|column| match column {
                 Column::Numeric(values) => {
-                    let repaired = self.repair_column(values, train.sensitive());
-                    out = out.with_column(i, Column::Numeric(repaired));
+                    Column::Numeric(self.repair_column(values, train.sensitive()))
                 }
-                Column::Categorical { codes, levels } => {
-                    let repaired =
-                        self.repair_categorical(codes, levels.len(), train.sensitive(), rng);
-                    out = out.with_column(
-                        i,
-                        Column::Categorical { codes: repaired, levels: levels.clone() },
-                    );
-                }
-            }
-        }
-        Ok(out)
+                Column::Categorical { codes, levels } => Column::Categorical {
+                    codes: self.repair_categorical(codes, levels.len(), train.sensitive(), rng),
+                    levels: levels.clone(),
+                },
+            })
+            .collect();
+        Ok(train.with_all_columns(columns))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A value with many ties: both zeros, small integers or anything.
+    fn tied_value() -> impl Strategy<Value = f64> {
+        (0u8..4, -3i32..4, -5.0f64..5.0).prop_map(|(kind, i, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from(i),
+            _ => x,
+        })
+    }
+
+    proptest! {
+        /// The sort sweep gives every row the bits the per-row binary
+        /// searches gave, ties and `±0.0` included.
+        #[test]
+        fn sweep_matches_search(
+            rows in prop::collection::vec((tied_value(), 0u8..2), 1..80),
+            lambda in (0usize..3, 0.0f64..=1.0).prop_map(|(k, x)| [1.0, 0.6, x][k]),
+        ) {
+            let (values, sensitive): (Vec<f64>, Vec<u8>) = rows.into_iter().unzip();
+            let feld = Feld::new(lambda);
+            prop_assert_eq!(
+                bits(&feld.repair_column(&values, &sensitive)),
+                bits(&repair_column_by_search(lambda, &values, &sensitive))
+            );
+        }
+
+        /// All-equal columns and one-group data, where every row shares
+        /// one tie block or nothing is equalised.
+        #[test]
+        fn sweep_matches_search_on_degenerate_columns(
+            n in 1usize..50,
+            v in tied_value(),
+            group in 0u8..2,
+            mixed in any::<bool>(),
+        ) {
+            let values = vec![v; n];
+            let sensitive: Vec<u8> =
+                (0..n).map(|i| if mixed { (i % 2) as u8 } else { group }).collect();
+            for lambda in [1.0, 0.6] {
+                prop_assert_eq!(
+                    bits(&Feld::new(lambda).repair_column(&values, &sensitive)),
+                    bits(&repair_column_by_search(lambda, &values, &sensitive))
+                );
+            }
+        }
+    }
 
     /// Groups with strongly shifted marginals on x.
     fn shifted(n: usize) -> Dataset {

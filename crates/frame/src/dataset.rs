@@ -223,20 +223,8 @@ impl Dataset {
         self.with_sensitive(self.sensitive.iter().map(|&s| 1 - s).collect())
     }
 
-    /// Same dataset with one attribute column replaced (Feld's per-attribute
-    /// repair).
-    ///
-    /// # Panics
-    /// Panics if the index is out of range or the length differs.
-    pub fn with_column(&self, i: usize, column: Column) -> Dataset {
-        assert_eq!(column.len(), self.n_rows(), "with_column: length mismatch");
-        let mut columns = self.columns.clone();
-        columns[i] = column;
-        Dataset { columns, ..self.clone() }
-    }
-
-    /// Same dataset with every attribute column replaced at once (Calmon's
-    /// joint transform). Names are retained.
+    /// Same dataset with every attribute column replaced at once (Feld's
+    /// per-attribute repair, Calmon's joint transform). Names are retained.
     pub fn with_all_columns(&self, columns: Vec<Column>) -> Dataset {
         assert_eq!(columns.len(), self.n_attrs(), "with_all_columns: arity mismatch");
         for c in &columns {
@@ -246,7 +234,7 @@ impl Dataset {
     }
 
     /// Append a copy of row `row` from `src` (which must share this schema).
-    /// Used by Salimi's insertion repairs.
+    /// Used by the serving batcher to merge requests into one batch.
     pub fn push_row_from(&mut self, src: &Dataset, row: usize) {
         debug_assert_eq!(self.n_attrs(), src.n_attrs(), "push_row_from: schema mismatch");
         for (c, sc) in self.columns.iter_mut().zip(src.columns.iter()) {
